@@ -98,7 +98,11 @@ fn main() -> ExitCode {
                 // The device and hwmodel figures come from the paper's
                 // Table III power model, which no silicon has validated.
                 let modeled = m.name.starts_with("device_") || m.name.starts_with("hwmodel.");
-                let note = if modeled { "  (modeled, unvalidated)" } else { "" };
+                let note = if modeled {
+                    "  (modeled, unvalidated)"
+                } else {
+                    ""
+                };
                 eprintln!("  {:<34} {:>14.4} {}{note}", m.name, m.value, m.unit);
             }
             for p in &result.problems {
