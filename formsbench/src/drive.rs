@@ -246,31 +246,84 @@ pub struct PhaseRun {
     /// Round trip from the due time of every correct reply of an open-loop
     /// phase, in ms, in send order (empty for a closed loop).
     pub rtt_ms: Vec<f64>,
+    /// Where each slice's replies end in `rtt_ms` (one slice per round).
+    pub slice_ends: Vec<usize>,
     /// Sampled full records of correct replies (see [`Ctx::sample_every`]).
     pub sampled: Vec<Record>,
-    /// Correct replies per [`SLOT`] of phase time, in order.
-    pub slots: Vec<u64>,
-    /// Phase start to the last reply.
+    /// Correct replies per second of each slice (see [`slice_rate`]).
+    pub slice_rates: Vec<f64>,
+    /// Phase start to the last reply, summed over slices.
     pub elapsed: Duration,
 }
 
-/// Width of the throughput slots of a phase.
-pub const SLOT: Duration = Duration::from_millis(500);
+/// Width of the throughput slots of a slice.
+pub const SLOT: Duration = Duration::from_millis(250);
+
+/// Correct replies per second of one slice, from the replies counted in
+/// each [`SLOT`] of it: the interquartile mean over its full slots, so a
+/// stall of the shared host moves one slot, not the figure. A slice shorter
+/// than two slots reports its overall rate.
+pub fn slice_rate(slots: &[u64], completed: u64, elapsed: Duration) -> f64 {
+    let full = (elapsed.as_nanos() / SLOT.as_nanos()) as usize;
+    if full < 2 {
+        return completed as f64 / elapsed.as_secs_f64();
+    }
+    let rates: Vec<f64> = (0..full)
+        .map(|i| slots.get(i).copied().unwrap_or(0) as f64 / SLOT.as_secs_f64())
+        .collect();
+    interquartile_mean(&rates)
+}
 
 impl PhaseRun {
-    /// Correct replies per second: the interquartile mean over the phase's
-    /// full slots, so a stall of the shared host moves one slot, not the
-    /// figure. A phase shorter than two slots reports its overall rate.
-    pub fn completed_per_second(&self) -> f64 {
-        let full = (self.elapsed.as_nanos() / SLOT.as_nanos()) as usize;
-        if full < 2 {
-            return self.tally.completed as f64 / self.elapsed.as_secs_f64();
+    fn new(pool: usize, open: bool, capacity: usize) -> Self {
+        Self {
+            tally: Tally::default(),
+            served: vec![0; pool],
+            rtt_ms: if open {
+                Vec::with_capacity(capacity)
+            } else {
+                Vec::new()
+            },
+            slice_ends: Vec::new(),
+            sampled: Vec::new(),
+            slice_rates: Vec::new(),
+            elapsed: Duration::ZERO,
         }
-        let rates: Vec<f64> = self.slots[..full]
+    }
+
+    /// Correct replies per second: the interquartile mean over the slices,
+    /// so a spell of a slow host that covers a quarter of the rounds does
+    /// not move it.
+    pub fn completed_per_second(&self) -> f64 {
+        interquartile_mean(&self.slice_rates)
+    }
+
+    /// The round trips of each slice.
+    pub fn slices(&self) -> Vec<&[f64]> {
+        let mut start = 0;
+        self.slice_ends
             .iter()
-            .map(|&n| n as f64 / SLOT.as_secs_f64())
-            .collect();
-        interquartile_mean(&rates)
+            .map(|&end| {
+                let slice = &self.rtt_ms[start..end];
+                start = end;
+                slice
+            })
+            .collect()
+    }
+
+    /// Appends another slice of the same phase (a later round's).
+    pub fn absorb(&mut self, other: PhaseRun) {
+        self.tally.merge(&other.tally);
+        for (total, n) in self.served.iter_mut().zip(&other.served) {
+            *total += n;
+        }
+        let base = self.rtt_ms.len();
+        self.rtt_ms.extend(other.rtt_ms);
+        self.slice_ends
+            .extend(other.slice_ends.iter().map(|end| base + end));
+        self.sampled.extend(other.sampled);
+        self.slice_rates.extend(other.slice_rates);
+        self.elapsed += other.elapsed;
     }
 }
 
@@ -304,17 +357,11 @@ where
     let link_window = link.window();
     // Credits gate the sender of a closed loop or of a windowed link.
     let credits = link_window.is_some() || matches!(traffic, Traffic::Closed { .. });
-    let mut run = PhaseRun {
-        tally: Tally::default(),
-        served: vec![0; ctx.pool.len()],
-        rtt_ms: match traffic {
-            Traffic::Open(schedule) => Vec::with_capacity(schedule.due.len()),
-            Traffic::Closed { .. } => Vec::new(),
-        },
-        sampled: Vec::new(),
-        slots: Vec::new(),
-        elapsed: Duration::ZERO,
+    let mut run = match traffic {
+        Traffic::Open(schedule) => PhaseRun::new(ctx.pool.len(), true, schedule.due.len()),
+        Traffic::Closed { .. } => PhaseRun::new(ctx.pool.len(), false, 0),
     };
+    let mut slots: Vec<u64> = Vec::new();
     let start = Instant::now();
     let send_failures = std::thread::scope(|scope| {
         let sender = scope.spawn(move || {
@@ -406,10 +453,10 @@ where
             run.served[sent.payload] += 1;
             let slot =
                 (done.saturating_duration_since(start).as_nanos() / SLOT.as_nanos()) as usize;
-            if run.slots.len() <= slot {
-                run.slots.resize(slot + 1, 0);
+            if slots.len() <= slot {
+                slots.resize(slot + 1, 0);
             }
-            run.slots[slot] += 1;
+            slots[slot] += 1;
             if let Traffic::Open(_) = traffic {
                 run.rtt_ms
                     .push(done.saturating_duration_since(sent.due).as_secs_f64() * 1e3);
@@ -430,6 +477,9 @@ where
         sender.join().expect("sender thread panicked")
     });
     run.elapsed = start.elapsed();
+    run.slice_ends.push(run.rtt_ms.len());
+    run.slice_rates
+        .push(slice_rate(&slots, run.tally.completed, run.elapsed));
     for failure in send_failures {
         run.tally.add(Err(failure));
     }

@@ -13,6 +13,7 @@
 
 mod compare;
 mod drive;
+mod host;
 mod layers;
 mod run;
 mod spans;

@@ -1,6 +1,7 @@
-//! One benchmark run of one workload: set the server up several times,
-//! drive the three phases through a loopback socket, check every output,
-//! and derive the end-to-end (untraced) or per-layer (traced) metrics.
+//! One benchmark run of one workload: in each of several rounds, set a
+//! server up and drive a slice of the three phases through a loopback
+//! socket; check every output, and derive the end-to-end (untraced) or
+//! per-layer (traced) metrics over all rounds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -14,16 +15,14 @@ use crate::drive::{
     bitwise_equal, drive, Ctx, Failure, PhaseRun, SocketDrain, Tally, TicketDrain, Traffic,
     SAMPLED_RECORDS,
 };
+use crate::host;
 use crate::layers::{time_forward, time_health, Replay, Timed};
 use crate::spans::SpanLog;
-use crate::stats::{median, percentile, sort, tail};
-use crate::workload::{mix, Plan, Seeds, Workload, FRAGMENT, POOL};
+use crate::stats::{best_quarter, calm_tail, median, percentile, slice_p50s, sort, tail};
+use crate::workload::{mix, Round, Seeds, Workload, FRAGMENT, POOL, ROUNDS};
 
-/// Server set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 9;
-
-/// Closed-loop warm-up before the measured phases.
-const WARMUP: Duration = Duration::from_millis(300);
+/// Closed-loop warm-up of each round's server before its measured slices.
+const WARMUP: Duration = Duration::from_millis(100);
 
 /// Host-time budget of each offline timing loop of the traced run.
 const OFFLINE_BUDGET: Duration = Duration::from_millis(600);
@@ -77,10 +76,9 @@ impl RunResult {
     }
 }
 
-/// Everything the client side of the main server produced.
-struct Session {
-    setup: Duration,
-    first: Result<(), Failure>,
+/// The phases a run drives. After the last round each phase holds all of
+/// its slices, concatenated.
+struct Phases {
     warmup: PhaseRun,
     light: PhaseRun,
     heavy: PhaseRun,
@@ -89,16 +87,49 @@ struct Session {
     /// in-process light and heavy passes.
     untraced_capacity: Option<PhaseRun>,
     inproc: Option<[PhaseRun; 2]>,
-    injections: u64,
 }
 
-impl Session {
+impl Phases {
     fn runs(&self) -> Vec<&PhaseRun> {
         let mut runs = vec![&self.warmup, &self.light, &self.heavy, &self.capacity];
         runs.extend(self.untraced_capacity.iter());
         runs.extend(self.inproc.iter().flatten());
         runs
     }
+
+    /// Appends a later round's slices.
+    fn absorb(&mut self, other: Phases) {
+        self.warmup.absorb(other.warmup);
+        self.light.absorb(other.light);
+        self.heavy.absorb(other.heavy);
+        self.capacity.absorb(other.capacity);
+        if let (Some(mine), Some(theirs)) = (&mut self.untraced_capacity, other.untraced_capacity) {
+            mine.absorb(theirs);
+        }
+        if let (Some([light, heavy]), Some([l, h])) = (&mut self.inproc, other.inproc) {
+            light.absorb(l);
+            heavy.absorb(h);
+        }
+    }
+}
+
+/// Everything one round produced.
+struct RoundRun {
+    /// Model build, mapping and server start until the first reply.
+    setup: Duration,
+    /// `Executor::map_network` alone, in ms.
+    map_ms: f64,
+    /// The first request's outcome.
+    first: Result<(), Failure>,
+    /// The round's slice of every phase.
+    phases: Phases,
+    /// Fault campaigns the generator injected.
+    injections: u64,
+    /// How many times slower than calm the host ran just before the
+    /// round's `capacity` slice (see [`host::slowdown`]).
+    slowdown: f64,
+    /// The round's server's own account.
+    snapshot: TelemetrySnapshot,
 }
 
 /// Runs the workload's server over a loopback socket for the duration of
@@ -134,43 +165,51 @@ fn call(client: &mut NetClient, payload: &[f32], reference: &[f32]) -> Result<()
     }
 }
 
-/// Builds the model, maps it, starts the server and times until the first
-/// request is answered; returns the set-up time, the map time and the
-/// first request's outcome.
-fn setup_probe(
+/// What every round shares.
+struct RunCtx<'a> {
     w: Workload,
-    payload: &[f32],
-    reference: &[f32],
-) -> Result<(f64, f64, Result<(), Failure>), String> {
-    let t0 = Instant::now();
-    let net = w.network();
-    let tm = Instant::now();
-    let exec = w.map(&net).map_err(|e| format!("mapping failed: {e}"))?;
-    let map_ms = tm.elapsed().as_secs_f64() * 1e3;
-    let ((setup, first), _) = serve(w, &exec, |h, _| {
-        let first = match NetClient::connect(h.addr(), ClientConfig::default()) {
-            Ok(mut client) => call(&mut client, payload, reference),
-            Err(_) => Err(Failure::Wire),
-        };
-        (t0.elapsed().as_secs_f64(), first)
-    })?;
-    Ok((setup, map_ms, first))
+    seeds: &'a Seeds,
+    window: usize,
+    pool: &'a [Vec<f32>],
+    reference: &'a [Vec<f32>],
+    trace: bool,
+    /// Campaigns injected so far in the run; numbers each campaign.
+    injections: AtomicU64,
 }
 
-/// The client side of the main server: first request, warm-up, the three
-/// phases and, when traced, the extra passes.
-#[allow(clippy::too_many_arguments)]
+/// One round: builds the model, maps it and starts a server (timed until
+/// the first reply), then drives the round's slice of every phase through
+/// it and shuts it down.
+fn round(x: &RunCtx<'_>, round: &Round) -> Result<RoundRun, String> {
+    let before = x.injections.load(Ordering::Relaxed);
+    let t0 = Instant::now();
+    let net = x.w.network();
+    let tm = Instant::now();
+    let exec = x.w.map(&net).map_err(|e| format!("mapping failed: {e}"))?;
+    let map_ms = tm.elapsed().as_secs_f64() * 1e3;
+    let (client, snapshot) = serve(x.w, &exec, |h, injector| session(x, round, t0, h, injector))?;
+    let (setup, first, phases, slowdown) = client?;
+    Ok(RoundRun {
+        setup,
+        map_ms,
+        first,
+        phases,
+        injections: x.injections.load(Ordering::Relaxed) - before,
+        slowdown,
+        snapshot,
+    })
+}
+
+/// The client side of a round's server: first request, warm-up, the three
+/// phase slices and, when traced, the extra passes.
 fn session(
-    w: Workload,
+    x: &RunCtx<'_>,
+    round: &Round,
     t0: Instant,
     h: &NetHandle,
     injector: Option<&FaultInjector<'_>>,
-    seeds: &Seeds,
-    plan: &Plan,
-    pool: &[Vec<f32>],
-    reference: &[Vec<f32>],
-    trace: bool,
-) -> Result<Session, String> {
+) -> Result<(Duration, Result<(), Failure>, Phases, f64), String> {
+    let (w, pool, reference) = (x.w, x.pool, x.reference);
     let mut client = NetClient::connect(h.addr(), ClientConfig::default())
         .map_err(|e| format!("cannot connect: {e}"))?;
     let first = call(&mut client, &pool[0], &reference[0]);
@@ -180,17 +219,21 @@ fn session(
         .map_err(|e| format!("cannot split the client: {e}"))?;
     let mut drain = SocketDrain::new(rx);
 
-    let (sent, injections) = (AtomicU64::new(0), AtomicU64::new(0));
+    let (sent, before) = (AtomicU64::new(0), x.injections.load(Ordering::Relaxed));
     let on_send = || {
         if let (Some(every), Some(injector)) = (w.inject_every(), injector) {
             if (sent.fetch_add(1, Ordering::Relaxed) + 1) % every == 0 {
-                let j = injections.fetch_add(1, Ordering::Relaxed);
-                injector.inject((j % 2) as usize, Workload::campaign(seeds, j));
+                let j = x.injections.fetch_add(1, Ordering::Relaxed);
+                injector.inject((j % 2) as usize, Workload::campaign(x.seeds, j));
             }
         }
     };
-    // Traced runs keep about SAMPLED_RECORDS full records per phase.
-    let every = |n: f64| trace.then(|| (n / SAMPLED_RECORDS as f64).ceil().max(1.0) as usize);
+    // Traced runs keep about SAMPLED_RECORDS full records per phase over
+    // all rounds.
+    let every = |n: f64| {
+        x.trace
+            .then(|| (n * ROUNDS as f64 / SAMPLED_RECORDS as f64).ceil().max(1.0) as usize)
+    };
     let ctx = |sample_every| Ctx {
         pool,
         reference,
@@ -198,37 +241,38 @@ fn session(
         on_send: &on_send,
     };
     let capacity = Traffic::Closed {
-        window: plan.window,
-        duration: plan.capacity_time,
-        seed: plan.capacity_seed,
+        window: x.window,
+        duration: round.capacity_time,
+        seed: round.capacity_seed,
     };
     let warmup = Traffic::Closed {
-        window: plan.window,
+        window: x.window,
         duration: WARMUP,
-        seed: mix(plan.capacity_seed, 1),
+        seed: mix(round.capacity_seed, 1),
     };
-    let light_ctx = ctx(every(plan.light.due.len() as f64));
-    let heavy_ctx = ctx(every(plan.heavy.due.len() as f64));
+    let light_ctx = ctx(every(round.light.due.len() as f64));
+    let heavy_ctx = ctx(every(round.heavy.due.len() as f64));
     let [_, heavy_rps] = w.open_loop_rates();
-    let capacity_ctx = ctx(every(2.0 * heavy_rps * plan.capacity_time.as_secs_f64()));
+    let capacity_ctx = ctx(every(2.0 * heavy_rps * round.capacity_time.as_secs_f64()));
     let warmup = drive(&mut tx, &mut drain, &ctx(None), warmup);
-    let light = drive(&mut tx, &mut drain, &light_ctx, Traffic::Open(&plan.light));
-    let heavy = drive(&mut tx, &mut drain, &heavy_ctx, Traffic::Open(&plan.heavy));
+    let light = drive(&mut tx, &mut drain, &light_ctx, Traffic::Open(&round.light));
+    let heavy = drive(&mut tx, &mut drain, &heavy_ctx, Traffic::Open(&round.heavy));
+    let slowdown = host::slowdown();
     let capacity_run = drive(&mut tx, &mut drain, &capacity_ctx, capacity);
-    let (untraced_capacity, inproc) = if trace {
+    let (untraced_capacity, inproc) = if x.trace {
         let untraced = drive(&mut tx, &mut drain, &ctx(None), capacity);
         let mut service = h.service().clone();
         let light = drive(
             &mut service,
             &mut TicketDrain,
             &light_ctx,
-            Traffic::Open(&plan.light),
+            Traffic::Open(&round.light),
         );
         let heavy = drive(
             &mut service,
             &mut TicketDrain,
             &heavy_ctx,
-            Traffic::Open(&plan.heavy),
+            Traffic::Open(&round.heavy),
         );
         (Some(untraced), Some([light, heavy]))
     } else {
@@ -236,23 +280,21 @@ fn session(
     };
     // A campaign is applied between batches; let the last ones land before
     // the queue closes, so every injection is accounted for.
-    let injections = injections.load(Ordering::Relaxed);
+    let injections = x.injections.load(Ordering::Relaxed) - before;
     let deadline = Instant::now() + Duration::from_secs(2);
     while h.telemetry().faults_injected < injections && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
     }
     tx.finish();
-    Ok(Session {
-        setup,
-        first,
+    let phases = Phases {
         warmup,
         light,
         heavy,
         capacity: capacity_run,
         untraced_capacity,
         inproc,
-        injections,
-    })
+    };
+    Ok((setup, first, phases, slowdown))
 }
 
 /// The process's peak resident set (`VmHWM`), in MB.
@@ -267,7 +309,8 @@ fn peak_rss_mb() -> Result<f64, String> {
         .ok_or_else(|| "no VmHWM in /proc/self/status".to_string())
 }
 
-/// Runs one workload for about `seconds` of measured load.
+/// Runs one workload for about `seconds` of measured load, in [`ROUNDS`]
+/// rounds.
 ///
 /// # Errors
 ///
@@ -281,40 +324,74 @@ pub fn run(w: Workload, seed: u64, seconds: u64, trace: bool) -> Result<RunResul
         .map(&w.network())
         .map_err(|e| format!("mapping failed: {e}"))?;
     let replay = Replay::run(w, &reference_exec, &pool);
-    let reference = &replay.reference;
+    let x = RunCtx {
+        w,
+        seeds: &seeds,
+        window: plan.window,
+        pool: &pool,
+        reference: &replay.reference,
+        trace,
+        injections: AtomicU64::new(0),
+    };
 
     let mut problems = Vec::new();
     let mut tally = Tally::default();
-    let (mut setups, mut map_ms) = (Vec::new(), Vec::new());
-    for _ in 1..SETUPS {
-        let (setup, map, first) = setup_probe(w, &pool[0], &reference[0])?;
-        setups.push(setup);
-        map_ms.push(map);
-        tally.add(first);
-    }
-
-    let t0 = Instant::now();
-    let net = w.network();
-    let tm = Instant::now();
-    let exec = w.map(&net).map_err(|e| format!("mapping failed: {e}"))?;
-    map_ms.push(tm.elapsed().as_secs_f64() * 1e3);
-    let (session, snapshot) = serve(w, &exec, |h, injector| {
-        session(w, t0, h, injector, &seeds, &plan, &pool, reference, trace)
-    })?;
-    let session = session?;
-    setups.push(session.setup.as_secs_f64());
-
-    // Outcomes, and the MVMs the completed requests must have cost.
-    let mut served = vec![0u64; POOL];
-    tally.add(session.first);
-    if session.first.is_ok() {
-        served[0] += 1;
-    }
-    for run in session.runs() {
-        tally.merge(&run.tally);
-        for (total, n) in served.iter_mut().zip(&run.served) {
-            *total += n;
+    let (mut setups, mut map_ms, mut snapshots) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut round_phases, mut slowdowns) = (Vec::new(), Vec::new());
+    for (r, plan_round) in plan.rounds.iter().enumerate() {
+        let round = round(&x, plan_round)?;
+        let p50 = |run: &PhaseRun| slice_p50s(&run.slices())[0];
+        eprintln!(
+            "round {r}: setup {:.2} ms, light p50 {:.3} ms, heavy p50 {:.3} ms, \
+             capacity {:.0} req/s, host slowdown {:.3}",
+            round.setup.as_secs_f64() * 1e3,
+            p50(&round.phases.light),
+            p50(&round.phases.heavy),
+            round.phases.capacity.completed_per_second(),
+            round.slowdown,
+        );
+        slowdowns.push(round.slowdown);
+        setups.push(round.setup.as_secs_f64());
+        map_ms.push(round.map_ms);
+        // Outcomes, and the MVMs the round's completed requests must have
+        // cost on its server.
+        let mut served = vec![0u64; POOL];
+        tally.add(round.first);
+        if round.first.is_ok() {
+            served[0] += 1;
         }
+        for run in round.phases.runs() {
+            tally.merge(&run.tally);
+            for (total, n) in served.iter_mut().zip(&run.served) {
+                *total += n;
+            }
+        }
+        let expected = replay.expected_mvms(&served);
+        let snapshot = &round.snapshot;
+        let counted: Vec<u64> = snapshot.layers.iter().map(|l| l.mvms).collect();
+        if counted != expected {
+            problems.push(format!(
+                "round {r}: server counted {counted:?} MVMs per layer, the offline replay {expected:?}"
+            ));
+        }
+        if w.resilient()
+            && (snapshot.rebuilds != round.injections
+                || snapshot.faults_injected != round.injections
+                || snapshot.quarantines != 0
+                || snapshot.degraded != 0)
+        {
+            problems.push(format!(
+                "round {r}: {} injections gave {} applied campaigns, {} rebuilds, \
+                 {} quarantines, {} degraded",
+                round.injections,
+                snapshot.faults_injected,
+                snapshot.rebuilds,
+                snapshot.quarantines,
+                snapshot.degraded
+            ));
+        }
+        snapshots.push(round.snapshot);
+        round_phases.push(round.phases);
     }
     if tally.mismatches > 0 {
         problems.push(format!(
@@ -322,43 +399,39 @@ pub fn run(w: Workload, seed: u64, seconds: u64, trace: bool) -> Result<RunResul
             tally.mismatches
         ));
     }
-    let expected = replay.expected_mvms(&served);
-    let counted: Vec<u64> = snapshot.layers.iter().map(|l| l.mvms).collect();
-    if counted != expected {
-        problems.push(format!(
-            "server counted {counted:?} MVMs per layer, the offline replay {expected:?}"
-        ));
-    }
-    if w.resilient()
-        && (snapshot.rebuilds != session.injections
-            || snapshot.faults_injected != session.injections
-            || snapshot.quarantines != 0
-            || snapshot.degraded != 0)
-    {
-        problems.push(format!(
-            "{} injections gave {} applied campaigns, {} rebuilds, {} quarantines, {} degraded",
-            session.injections,
-            snapshot.faults_injected,
-            snapshot.rebuilds,
-            snapshot.quarantines,
-            snapshot.degraded
-        ));
+    let mut rounds = round_phases.into_iter();
+    let mut phases = rounds.next().ok_or("the plan has no rounds")?;
+    for round in rounds {
+        phases.absorb(round);
     }
 
-    let light = sorted(&session.light.rtt_ms);
-    let heavy = sorted(&session.heavy.rtt_ms);
-    let mut p99 = |name: &str, sorted: &[f64]| {
-        tail(sorted, 0.99).unwrap_or_else(|| {
+    // Each end-to-end figure is taken per round, and the best quarter of
+    // the rounds is reported (see `best_quarter`); a p99 pools the calmest
+    // rounds by their p50 until it is supported.
+    let light_p50s = slice_p50s(&phases.light.slices());
+    let heavy_p50s = slice_p50s(&phases.heavy.slices());
+    let mut p99 = |name: &str, run: &PhaseRun, p50s: &[f64]| {
+        calm_tail(&run.slices(), p50s, 0.99).unwrap_or_else(|| {
             problems.push(format!(
                 "{name}: {} completed requests cannot support a p99",
-                sorted.len()
+                run.rtt_ms.len()
             ));
             f64::NAN
         })
     };
-    let light_p99 = p99("light", &light);
-    let heavy_p99 = p99("heavy", &heavy);
-    let capacity_rps = session.capacity.completed_per_second();
+    let light_p99 = p99("light", &phases.light, &light_p50s);
+    let heavy_p99 = p99("heavy", &phases.heavy, &heavy_p50s);
+    // Every host-time figure moves with the host's speed: each is scaled to
+    // a calm host by the run's median slowdown.
+    let slowdown = median(&slowdowns);
+    let unscaled_light_p50 = best_quarter(&light_p50s, true);
+    let unscaled_heavy_p50 = best_quarter(&heavy_p50s, true);
+    let light_p50 = unscaled_light_p50 / slowdown;
+    let heavy_p50 = unscaled_heavy_p50 / slowdown;
+    let unscaled_rps = best_quarter(&phases.capacity.slice_rates, false);
+    let capacity_rps = unscaled_rps * slowdown;
+    let unscaled_setup_s = median(&setups);
+    let setup_s = unscaled_setup_s / slowdown;
 
     let metrics = if trace {
         let layers = LayerInputs {
@@ -367,22 +440,33 @@ pub fn run(w: Workload, seed: u64, seconds: u64, trace: bool) -> Result<RunResul
             pool: &pool,
             replay: &replay,
             reference_exec: &reference_exec,
-            session: &session,
-            snapshot: &snapshot,
+            phases: &phases,
+            snapshots: &snapshots,
             map_ms: median(&map_ms),
-            light_p50_ms: p50(&light),
-            capacity_rps,
+            light_p50_ms: median(&light_p50s),
+            capacity_rps: phases.capacity.completed_per_second(),
         };
-        layer_metrics(&layers)?
+        // The p99s are reported here, without a bound: a shared host's CPU
+        // steal pauses a vCPU for milliseconds, and such pauses set the
+        // tail of every round while the host is busy.
+        let mut metrics = vec![
+            m("light.p99_ms", light_p99, "ms"),
+            m("heavy.p99_ms", heavy_p99, "ms"),
+            m("light.unscaled_p50_ms", unscaled_light_p50, "ms"),
+            m("heavy.unscaled_p50_ms", unscaled_heavy_p50, "ms"),
+            m("capacity.unscaled_rps", unscaled_rps, "req/s"),
+            m("setup.unscaled_s", unscaled_setup_s, "s"),
+            m("host.slowdown", slowdown, "ratio"),
+        ];
+        metrics.extend(layer_metrics(&layers)?);
+        metrics
     } else {
         vec![
-            m("light.p50_ms", p50(&light), "ms"),
-            m("light.p99_ms", light_p99, "ms"),
-            m("heavy.p50_ms", p50(&heavy), "ms"),
-            m("heavy.p99_ms", heavy_p99, "ms"),
+            m("light.p50_ms", light_p50, "ms"),
+            m("heavy.p50_ms", heavy_p50, "ms"),
             m("capacity_rps", capacity_rps, "req/s"),
             m("served_share", 1.0 - tally.error_share(), "fraction"),
-            m("setup_s", median(&setups), "s"),
+            m("setup_s", setup_s, "s"),
             m("peak_rss_mb", peak_rss_mb()?, "MB"),
             m("device_fps", replay.device_fps, "frames/s"),
             m("device_pj_per_request", replay.device_pj_per_request, "pJ"),
@@ -429,8 +513,8 @@ struct LayerInputs<'a> {
     pool: &'a [Vec<f32>],
     replay: &'a Replay,
     reference_exec: &'a Executor<MappedLayer>,
-    session: &'a Session,
-    snapshot: &'a TelemetrySnapshot,
+    phases: &'a Phases,
+    snapshots: &'a [TelemetrySnapshot],
     map_ms: f64,
     light_p50_ms: f64,
     capacity_rps: f64,
@@ -458,7 +542,7 @@ fn us(d: Duration) -> f64 {
 
 /// The traced run's per-layer metrics; also writes the span log.
 fn layer_metrics(x: &LayerInputs<'_>) -> Result<Vec<Metric>, String> {
-    let s = x.session;
+    let s = x.phases;
     let [inproc_light, inproc_heavy] = s.inproc.as_ref().ok_or("traced passes missing")?;
     let untraced = s
         .untraced_capacity
@@ -568,9 +652,14 @@ fn layer_metrics(x: &LayerInputs<'_>) -> Result<Vec<Metric>, String> {
         }
         .encode()
         .len();
-    let st = &x.snapshot.stages;
+    // Stage percentiles are the median over the rounds' servers; counts
+    // are their sum.
+    let stage = |f: fn(&TelemetrySnapshot) -> f64| {
+        median(&x.snapshots.iter().map(f).collect::<Vec<_>>()) / 1e3
+    };
+    let count = |f: fn(&TelemetrySnapshot) -> u64| x.snapshots.iter().map(f).sum::<u64>() as f64;
     let lag = sorted(&lag_ms);
-    let inproc_light_p50 = p50(&sorted(&inproc_light.rtt_ms));
+    let inproc_light_p50 = median(&slice_p50s(&inproc_light.slices()));
     let replicas = x.w.serve_config().replicas as f64;
     let metrics = vec![
         m(
@@ -588,23 +677,35 @@ fn layer_metrics(x: &LayerInputs<'_>) -> Result<Vec<Metric>, String> {
         m("net.bytes_per_request", bytes as f64, "B"),
         m(
             "serve.queue_wait_p50_us",
-            st.queue_wait.p50_ns() / 1e3,
+            stage(|s| s.stages.queue_wait.p50_ns()),
             "us",
         ),
         m(
             "serve.queue_wait_p99_us",
-            st.queue_wait.p99_ns() / 1e3,
+            stage(|s| s.stages.queue_wait.p99_ns()),
             "us",
         ),
-        m("serve.batch_form_us", st.batch_form.p50_ns() / 1e3, "us"),
-        m("serve.execute_us", st.execute.p50_ns() / 1e3, "us"),
-        m("serve.respond_us", st.respond.p50_ns() / 1e3, "us"),
+        m(
+            "serve.batch_form_us",
+            stage(|s| s.stages.batch_form.p50_ns()),
+            "us",
+        ),
+        m(
+            "serve.execute_us",
+            stage(|s| s.stages.execute.p50_ns()),
+            "us",
+        ),
+        m(
+            "serve.respond_us",
+            stage(|s| s.stages.respond.p50_ns()),
+            "us",
+        ),
         m("serve.mean_batch", mean_batch, "count"),
-        m("serve.shed", x.snapshot.shed as f64, "count"),
-        m("serve.expired", x.snapshot.expired as f64, "count"),
-        m("health.rebuilds", x.snapshot.rebuilds as f64, "count"),
-        m("health.quarantines", x.snapshot.quarantines as f64, "count"),
-        m("health.degraded", x.snapshot.degraded as f64, "count"),
+        m("serve.shed", count(|s| s.shed), "count"),
+        m("serve.expired", count(|s| s.expired), "count"),
+        m("health.rebuilds", count(|s| s.rebuilds), "count"),
+        m("health.quarantines", count(|s| s.quarantines), "count"),
+        m("health.degraded", count(|s| s.degraded), "count"),
         m("health.rebuild_ms", rebuild_ms, "ms"),
         m("health.inject_ms", inject_ms, "ms"),
         m("exec.forward_us_b1", b1.forward_us, "us"),

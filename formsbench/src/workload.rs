@@ -18,9 +18,16 @@ pub const FRAGMENT: usize = 8;
 /// output has an offline reference computed once per pool entry.
 pub const POOL: usize = 256;
 
-/// Fewest requests an open-loop phase is sized for: with 1000 completed,
-/// ten lie beyond the 99th percentile, so `p99` is reportable.
+/// Fewest requests an open-loop phase is sized for, over all rounds: with
+/// 1000 completed, ten lie beyond the 99th percentile, so `p99` is
+/// reportable.
 pub const MIN_PHASE_REQUESTS: usize = 1100;
+
+/// Rounds a run is split into. Each round sets up a fresh server and drives
+/// a slice of every phase, so each phase samples the host across the whole
+/// run instead of one stretch of it: the shared host's speed swings by a
+/// quarter from one second to the next.
+pub const ROUNDS: usize = 20;
 
 /// Seed that was never used while the benchmark or a change was tuned;
 /// re-run claims on it before accepting them.
@@ -29,7 +36,7 @@ pub const HELD_OUT_SEED: u64 = 9_001;
 /// Scale of the post-ReLU half-normal payload activations.
 const ACTIVATION_SIGMA: f64 = 0.4;
 
-/// Shares of `--seconds` given to the light, heavy and capacity phases.
+/// Shares of each round given to the light, heavy and capacity phases.
 const PHASE_SHARES: [f64; 3] = [0.5, 0.25, 0.25];
 
 /// The workloads, each stressing a different layer of the stack.
@@ -118,10 +125,12 @@ impl Workload {
     /// ≈0.25× and ≈0.7× the lowest closed-loop capacity each workload
     /// measured on the commit that introduced this benchmark, so the heavy
     /// phase stays below the knee however slow the shared host runs (see
-    /// the README).
+    /// the README). `vgg-layer`'s heavy rate is ≈0.5× instead: each of its
+    /// requests holds the replica for over a millisecond, and nearer the
+    /// knee its queueing multiplied every swing of the host's speed.
     pub fn open_loop_rates(self) -> [f64; 2] {
         match self {
-            Self::VggLayer => [80.0, 220.0],
+            Self::VggLayer => [80.0, 160.0],
             Self::MlpSmall => [1_800.0, 5_000.0],
             Self::MlpRewrite => [1_300.0, 3_600.0],
         }
@@ -170,17 +179,27 @@ impl Workload {
             .collect()
     }
 
-    /// The run's traffic for a measured duration of `seconds`.
+    /// The run's traffic for a measured duration of `seconds`, split into
+    /// [`ROUNDS`] rounds.
     pub fn plan(self, seeds: &Seeds, seconds: f64) -> Plan {
         let [light_rps, heavy_rps] = self.open_loop_rates();
         let mut rng = StdRng::seed_from_u64(seeds.schedule);
-        let light = Schedule::poisson(&mut rng, light_rps, PHASE_SHARES[0] * seconds);
-        let heavy = Schedule::poisson(&mut rng, heavy_rps, PHASE_SHARES[1] * seconds);
+        let round = seconds / ROUNDS as f64;
+        let min = MIN_PHASE_REQUESTS.div_ceil(ROUNDS);
+        let rounds = (0..ROUNDS)
+            .map(|_| {
+                let light = Schedule::poisson(&mut rng, light_rps, PHASE_SHARES[0] * round, min);
+                let heavy = Schedule::poisson(&mut rng, heavy_rps, PHASE_SHARES[1] * round, min);
+                Round {
+                    light,
+                    heavy,
+                    capacity_time: Duration::from_secs_f64(PHASE_SHARES[2] * round),
+                    capacity_seed: rng.next_u64(),
+                }
+            })
+            .collect();
         Plan {
-            light,
-            heavy,
-            capacity_time: Duration::from_secs_f64(PHASE_SHARES[2] * seconds),
-            capacity_seed: rng.next_u64(),
+            rounds,
             window: self.window(),
         }
     }
@@ -219,25 +238,32 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    fn poisson(rng: &mut StdRng, rate_rps: f64, seconds: f64) -> Self {
-        let n = ((rate_rps * seconds).ceil() as usize).max(MIN_PHASE_REQUESTS);
+    fn poisson(rng: &mut StdRng, rate_rps: f64, seconds: f64, min: usize) -> Self {
+        let n = ((rate_rps * seconds).ceil() as usize).max(min);
         let due = poisson_arrivals(rng, rate_rps, n);
         let payload = (0..n).map(|_| rng.gen_range(0..POOL)).collect();
         Self { due, payload }
     }
 }
 
-/// The whole run's traffic.
+/// One round's traffic.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Plan {
-    /// `light` phase, open loop.
+pub struct Round {
+    /// `light` phase slice, open loop.
     pub light: Schedule,
-    /// `heavy` phase, open loop.
+    /// `heavy` phase slice, open loop.
     pub heavy: Schedule,
-    /// Length of the closed-loop `capacity` phase.
+    /// Length of the closed-loop `capacity` slice.
     pub capacity_time: Duration,
     /// Seed of the closed-loop payload order (see [`capacity_payload`]).
     pub capacity_seed: u64,
+}
+
+/// The whole run's traffic.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Plan {
+    /// The rounds, in order.
+    pub rounds: Vec<Round>,
     /// In-flight requests of the `capacity` phase.
     pub window: usize,
 }
@@ -305,10 +331,17 @@ mod tests {
     #[test]
     fn phases_hold_enough_requests_for_a_p99() {
         let plan = Workload::VggLayer.plan(&Seeds::derive(1), 0.1);
-        assert_eq!(plan.light.due.len(), MIN_PHASE_REQUESTS);
-        assert!(plan.light.due.windows(2).all(|w| w[0] <= w[1]));
-        assert!(plan.light.payload.iter().all(|&i| i < POOL));
-        assert!((0..1000).all(|k| capacity_payload(plan.capacity_seed, k) < POOL));
+        assert_eq!(plan.rounds.len(), ROUNDS);
+        let light: usize = plan.rounds.iter().map(|r| r.light.due.len()).sum();
+        let heavy: usize = plan.rounds.iter().map(|r| r.heavy.due.len()).sum();
+        assert_eq!(light, MIN_PHASE_REQUESTS);
+        assert_eq!(heavy, MIN_PHASE_REQUESTS);
+        for round in &plan.rounds {
+            assert!(round.light.due.windows(2).all(|w| w[0] <= w[1]));
+            assert!(round.light.payload.iter().all(|&i| i < POOL));
+            assert!((0..1000).all(|k| capacity_payload(round.capacity_seed, k) < POOL));
+        }
+        assert_ne!(plan.rounds[0], plan.rounds[1]);
     }
 
     #[test]
