@@ -13,6 +13,12 @@ cargo build --release --offline
 echo "== test (offline) =="
 cargo test -q --offline --workspace
 
+echo "== formsbench (build + its own tests) =="
+# The end-to-end benchmark is a package of its own outside the workspace,
+# so the workspace build above does not compile it. Build and test it here
+# so a serving API change that breaks the benchmark fails CI.
+cargo test --release --offline --manifest-path formsbench/Cargo.toml
+
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 

@@ -415,7 +415,6 @@ fn run_storm(pristine: &Executor<PacedEngine<MappedLayer>>, spec: &FaultsBenchSp
             replicas,
             queue_capacity: spec.storm_requests.max(4),
             max_batch: 2,
-            max_delay: Duration::from_micros(200),
             default_deadline: None,
         },
         policy: HealthPolicy {

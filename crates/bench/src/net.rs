@@ -94,8 +94,6 @@ pub struct NetBenchSpec {
     pub max_batch: usize,
     /// Admission queue bound.
     pub queue_capacity: usize,
-    /// Dynamic-batching straggler window.
-    pub max_delay: Duration,
     /// Minimum requests offered during the socket fault storm.
     pub storm_requests: usize,
 }
@@ -118,7 +116,6 @@ impl NetBenchSpec {
             connections: vec![1, 4, 8],
             max_batch: 4,
             queue_capacity: 32,
-            max_delay: Duration::from_millis(5),
             storm_requests: 24,
         }
     }
@@ -146,7 +143,6 @@ impl NetBenchSpec {
             connections: vec![1, 4],
             max_batch: 4,
             queue_capacity: 16,
-            max_delay: Duration::from_millis(1),
             storm_requests: 12,
         }
     }
@@ -156,7 +152,6 @@ impl NetBenchSpec {
             replicas,
             queue_capacity: self.queue_capacity,
             max_batch: self.max_batch,
-            max_delay: self.max_delay,
             default_deadline: None,
         }
     }
@@ -628,7 +623,6 @@ fn run_storm(spec: &NetBenchSpec) -> NetStormResult {
             replicas,
             queue_capacity: spec.storm_requests.max(4),
             max_batch: 2,
-            max_delay: Duration::from_micros(200),
             default_deadline: None,
         },
         policy: HealthPolicy {

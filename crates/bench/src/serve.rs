@@ -61,8 +61,6 @@ pub struct ServeBenchSpec {
     pub batches: Vec<usize>,
     /// Admission queue bound.
     pub queue_capacity: usize,
-    /// Dynamic-batching straggler window.
-    pub max_delay: Duration,
 }
 
 impl ServeBenchSpec {
@@ -82,7 +80,6 @@ impl ServeBenchSpec {
             replicas: vec![1, 2, 4],
             batches: vec![1, 4],
             queue_capacity: 32,
-            max_delay: Duration::from_millis(5),
         }
     }
 
@@ -108,7 +105,6 @@ impl ServeBenchSpec {
             replicas: vec![1, 4],
             batches: vec![1, 4],
             queue_capacity: 16,
-            max_delay: Duration::from_millis(1),
         }
     }
 }
@@ -273,7 +269,6 @@ where
                 replicas,
                 queue_capacity: spec.queue_capacity,
                 max_batch,
-                max_delay: spec.max_delay,
                 default_deadline: None,
             };
             let load = OpenLoopSpec {

@@ -127,7 +127,6 @@ fn rejections_are_statuses_on_a_live_connection_not_disconnects() {
         replicas: 1,
         queue_capacity: 1,
         max_batch: 1,
-        max_delay: Duration::ZERO,
         default_deadline: None,
     };
     let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), |net| {
@@ -293,7 +292,6 @@ fn poisoned_replica_surfaces_degraded_as_wire_statuses_with_zero_corruption() {
             replicas: 2,
             queue_capacity: 64,
             max_batch: 2,
-            max_delay: Duration::from_micros(200),
             default_deadline: None,
         },
         policy: HealthPolicy {

@@ -326,12 +326,7 @@ fn resilient_replica_loop<E: FaultableEngine>(
         loop {
             // Bounded wait: an idle replica must still notice fault
             // deliveries, so it wakes periodically to poll its mailbox.
-            match queue.pop_batch_for(
-                serve_cfg.max_batch,
-                serve_cfg.max_delay,
-                MAILBOX_POLL,
-                &mut batch,
-            ) {
+            match queue.pop_batch_for(serve_cfg.max_batch, MAILBOX_POLL, &mut batch) {
                 PopWait::Closed => return,
                 PopWait::Idle => {
                     if mailbox.has_pending.load(Ordering::Acquire) {
@@ -398,6 +393,7 @@ fn resilient_replica_loop<E: FaultableEngine>(
                     consecutive_rebuilds = 0;
                     backoff = policy.backoff;
                     deltas.publish(session.layer_wall_ns(), session.layer_mvms(), telemetry);
+                    telemetry.batches.fetch_add(1, Ordering::Relaxed);
                     let per_sample = out.len() / batch_size;
                     for (i, mut pending) in live.drain(..).enumerate() {
                         pending.span.responded = Some(Instant::now());
@@ -438,7 +434,7 @@ fn resilient_replica_loop<E: FaultableEngine>(
     // last active replica, drain the queue failing every request so no
     // admitted ticket can hang on an abandoned queue.
     if active.fetch_sub(1, Ordering::AcqRel) == 1 {
-        while queue.pop_batch(serve_cfg.max_batch, serve_cfg.max_delay, &mut batch) {
+        while queue.pop_batch(serve_cfg.max_batch, &mut batch) {
             let dequeued = Instant::now();
             for mut pending in batch.drain(..) {
                 pending.span.dequeued = Some(dequeued);

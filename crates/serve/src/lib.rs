@@ -17,8 +17,9 @@
 //! The pieces, each its own module:
 //!
 //! - [`queue`]: bounded MPMC admission queue — producers shed instead of
-//!   blocking, consumers pop dynamic batches (flush on `max_batch` or
-//!   `max_delay`), close-and-drain shutdown.
+//!   blocking, consumers pop work-conserving dynamic batches (the head
+//!   plus whatever is already queued, up to `max_batch`; no straggler
+//!   wait), close-and-drain shutdown.
 //! - [`service`]: [`serve`] spins up N replica threads each owning one warm
 //!   [`InferenceSession`](forms_exec::InferenceSession) over the *shared*
 //!   mapped engines; requests carry deadlines (expired ⇒ rejected, not

@@ -4,9 +4,11 @@
 //! when the queue is at capacity [`BoundedQueue::try_push`] fails
 //! immediately so the caller can shed the request instead of letting the
 //! backlog (and memory) grow without bound. Consumers pop *batches*: the
-//! first item blocks (condvar), then up to `max_batch - 1` stragglers are
-//! gathered for at most `max_delay`, which is the dynamic-batching policy
-//! of the service.
+//! first item blocks (condvar), then whatever else is already queued joins
+//! it, up to `max_batch` items, without waiting for more. That is the
+//! service's work-conserving dynamic-batching policy: an idle consumer
+//! never holds a request back, and under load requests pile up while the
+//! consumers execute, so batches still fill.
 //!
 //! Shutdown is cooperative: [`BoundedQueue::close`] rejects new pushes and
 //! wakes every consumer (`notify_all`, so no consumer is lost waiting),
@@ -129,8 +131,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Pops the next batch into `out` (cleared first): blocks until at
-    /// least one item is available, then gathers up to `max_batch` items,
-    /// waiting at most `max_delay` for stragglers after the first.
+    /// least one item is available, then takes whatever else is already
+    /// queued, up to `max_batch` items in all, without waiting for more.
     ///
     /// Returns `false` — with `out` empty — only when the queue is closed
     /// *and* fully drained.
@@ -138,7 +140,7 @@ impl<T> BoundedQueue<T> {
     /// # Panics
     ///
     /// Panics if `max_batch` is zero.
-    pub fn pop_batch(&self, max_batch: usize, max_delay: Duration, out: &mut Vec<T>) -> bool {
+    pub fn pop_batch(&self, max_batch: usize, out: &mut Vec<T>) -> bool {
         assert!(max_batch > 0, "batch size must be positive");
         out.clear();
         let mut state = self.lock();
@@ -157,7 +159,7 @@ impl<T> BoundedQueue<T> {
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
-        self.gather_stragglers(state, max_batch, max_delay, out);
+        Self::drain_queued(&mut state, max_batch, out);
         true
     }
 
@@ -171,13 +173,7 @@ impl<T> BoundedQueue<T> {
     /// # Panics
     ///
     /// Panics if `max_batch` is zero.
-    pub fn pop_batch_for(
-        &self,
-        max_batch: usize,
-        max_delay: Duration,
-        wait: Duration,
-        out: &mut Vec<T>,
-    ) -> PopWait {
+    pub fn pop_batch_for(&self, max_batch: usize, wait: Duration, out: &mut Vec<T>) -> PopWait {
         assert!(max_batch > 0, "batch size must be positive");
         out.clear();
         let mut state = self.lock();
@@ -200,38 +196,15 @@ impl<T> BoundedQueue<T> {
                 .unwrap_or_else(|e| e.into_inner());
             state = guard;
         }
-        self.gather_stragglers(state, max_batch, max_delay, out);
+        Self::drain_queued(&mut state, max_batch, out);
         PopWait::Batch
     }
 
-    /// Gathers stragglers behind a popped batch head until the batch is
-    /// full, the flush timer expires, or shutdown flushes immediately.
-    fn gather_stragglers(
-        &self,
-        mut state: MutexGuard<'_, State<T>>,
-        max_batch: usize,
-        max_delay: Duration,
-        out: &mut Vec<T>,
-    ) {
-        let flush_at = Instant::now() + max_delay;
-        while out.len() < max_batch {
-            if let Some(item) = state.items.pop_front() {
-                out.push(item);
-                continue;
-            }
-            if state.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            let (guard, _timeout) = self
-                .not_empty
-                .wait_timeout(state, flush_at - now)
-                .unwrap_or_else(|e| e.into_inner());
-            state = guard;
-        }
+    /// Moves the items already queued behind a popped batch head into
+    /// `out` until the batch holds `max_batch` items or the queue is empty.
+    fn drain_queued(state: &mut State<T>, max_batch: usize, out: &mut Vec<T>) {
+        let take = (max_batch - out.len()).min(state.items.len());
+        out.extend(state.items.drain(..take));
     }
 }
 
@@ -259,7 +232,7 @@ mod tests {
         assert_eq!(q.try_push(3), Err(PushError::Full(3)));
         assert_eq!(q.len(), 2);
         let mut batch = Vec::new();
-        assert!(q.pop_batch(8, Duration::ZERO, &mut batch));
+        assert!(q.pop_batch(8, &mut batch));
         assert_eq!(batch, vec![1, 2]);
     }
 
@@ -270,9 +243,9 @@ mod tests {
         q.close();
         assert_eq!(q.try_push(8), Err(PushError::Closed(8)));
         let mut batch = Vec::new();
-        assert!(q.pop_batch(4, Duration::from_secs(1), &mut batch));
+        assert!(q.pop_batch(4, &mut batch));
         assert_eq!(batch, vec![7]);
-        assert!(!q.pop_batch(4, Duration::from_secs(1), &mut batch));
+        assert!(!q.pop_batch(4, &mut batch));
         assert!(batch.is_empty());
     }
 
@@ -283,25 +256,39 @@ mod tests {
             q.try_push(i).unwrap();
         }
         let mut batch = Vec::new();
-        assert!(q.pop_batch(3, Duration::ZERO, &mut batch));
+        assert!(q.pop_batch(3, &mut batch));
         assert_eq!(batch, vec![0, 1, 2]);
-        assert!(q.pop_batch(3, Duration::ZERO, &mut batch));
+        assert!(q.pop_batch(3, &mut batch));
         assert_eq!(batch, vec![3, 4]);
     }
 
     #[test]
-    fn pop_batch_waits_for_stragglers_within_max_delay() {
+    fn pop_batch_returns_the_lone_head_without_waiting() {
         let q = BoundedQueue::new(8);
+        q.try_push(1).unwrap();
         std::thread::scope(|scope| {
             let qref = &q;
-            scope.spawn(move || {
-                qref.try_push(1).unwrap();
-                std::thread::sleep(Duration::from_millis(5));
+            let producer = scope.spawn(move || {
+                // Push the second item only after the consumer has taken
+                // the first: with a straggler window it would have joined.
+                while !qref.is_empty() {
+                    std::thread::yield_now();
+                }
+                std::thread::sleep(Duration::from_millis(50));
                 qref.try_push(2).unwrap();
             });
             let mut batch = Vec::new();
-            assert!(q.pop_batch(2, Duration::from_millis(500), &mut batch));
-            assert_eq!(batch, vec![1, 2], "straggler joined the batch");
+            let start = Instant::now();
+            assert!(q.pop_batch(2, &mut batch));
+            let waited = start.elapsed();
+            assert_eq!(batch, vec![1], "the lone head is returned alone");
+            assert!(
+                waited < Duration::from_millis(50),
+                "pop_batch waited {waited:?} for a push that follows the head"
+            );
+            producer.join().unwrap();
+            assert!(q.pop_batch(2, &mut batch));
+            assert_eq!(batch, vec![2]);
         });
     }
 
@@ -311,20 +298,20 @@ mod tests {
         let mut batch = Vec::new();
         let start = Instant::now();
         assert_eq!(
-            q.pop_batch_for(4, Duration::ZERO, Duration::from_millis(5), &mut batch),
+            q.pop_batch_for(4, Duration::from_millis(5), &mut batch),
             PopWait::Idle
         );
         assert!(start.elapsed() >= Duration::from_millis(5));
         assert!(batch.is_empty());
         q.try_push(9).unwrap();
         assert_eq!(
-            q.pop_batch_for(4, Duration::ZERO, Duration::from_secs(1), &mut batch),
+            q.pop_batch_for(4, Duration::from_secs(1), &mut batch),
             PopWait::Batch
         );
         assert_eq!(batch, vec![9]);
         q.close();
         assert_eq!(
-            q.pop_batch_for(4, Duration::ZERO, Duration::from_secs(1), &mut batch),
+            q.pop_batch_for(4, Duration::from_secs(1), &mut batch),
             PopWait::Closed
         );
     }
@@ -339,7 +326,7 @@ mod tests {
                 scope.spawn(move || {
                     let mut batch = Vec::new();
                     // Blocks until close; must return rather than hang.
-                    assert!(!qref.pop_batch(4, Duration::from_secs(5), &mut batch));
+                    assert!(!qref.pop_batch(4, &mut batch));
                     wref.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -422,7 +409,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut batch = Vec::new();
                         let mut mine = Vec::new();
-                        while qref.pop_batch(4, Duration::from_micros(200), &mut batch) {
+                        while qref.pop_batch(4, &mut batch) {
                             mine.append(&mut batch);
                         }
                         dref.lock().unwrap().append(&mut mine);
@@ -470,7 +457,7 @@ mod tests {
                 let (qref, cref) = (&q, &consumed);
                 scope.spawn(move || {
                     let mut batch = Vec::new();
-                    while qref.pop_batch(4, Duration::from_millis(1), &mut batch) {
+                    while qref.pop_batch(4, &mut batch) {
                         cref.fetch_add(batch.len(), Ordering::SeqCst);
                     }
                 });

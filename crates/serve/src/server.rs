@@ -42,6 +42,8 @@
 //! assert_eq!(telemetry.stages.execute.count, 1);
 //! ```
 
+use std::time::Duration;
+
 use forms_exec::{CrossbarEngine, Executor, FaultableEngine};
 
 use crate::health::{serve_resilient_impl, FaultInjector, HealthPolicy, ResilientConfig};
@@ -102,15 +104,9 @@ pub enum ConfigError {
         /// The offending density threshold.
         density: f64,
     },
-    /// The default deadline is not longer than the batching straggler
-    /// window, so every request submitted under the default would expire
-    /// while its batch was still forming.
-    DeadlineWithinBatchWindow {
-        /// The configured default deadline, in nanoseconds.
-        deadline_ns: u128,
-        /// The configured `max_delay`, in nanoseconds.
-        max_delay_ns: u128,
-    },
+    /// The default deadline is zero, so every request submitted under the
+    /// default would expire at batch formation, before it could execute.
+    ZeroDefaultDeadline,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -131,13 +127,10 @@ impl std::fmt::Display for ConfigError {
                     "fault-density threshold {density} is not a finite fraction"
                 )
             }
-            Self::DeadlineWithinBatchWindow {
-                deadline_ns,
-                max_delay_ns,
-            } => write!(
+            Self::ZeroDefaultDeadline => write!(
                 f,
-                "default deadline {deadline_ns}ns cannot be met: batches may wait \
-                 {max_delay_ns}ns for stragglers before executing"
+                "default deadline is zero: every request submitted under it \
+                 would expire before executing"
             ),
         }
     }
@@ -146,8 +139,8 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 impl ServerBuilder {
-    /// Sets the sizing/batching policy (replicas, queue bound, batching
-    /// window, default deadline).
+    /// Sets the sizing/batching policy (replicas, queue bound, largest
+    /// batch, default deadline).
     #[must_use]
     pub fn config(mut self, serve: ServeConfig) -> Self {
         self.serve = serve;
@@ -191,8 +184,7 @@ impl ServerBuilder {
     /// error, checking strictly more than the `run*` entry points assert:
     /// `run` only refuses configs that would wedge (zero replicas/batch),
     /// while `validate` also catches settings that are legal but can never
-    /// serve a request usefully (e.g. a default deadline shorter than the
-    /// batching straggler window).
+    /// serve a request usefully (a zero default deadline).
     ///
     /// # Errors
     ///
@@ -207,13 +199,8 @@ impl ServerBuilder {
         if self.serve.max_batch == 0 {
             return Err(ConfigError::ZeroBatch);
         }
-        if let Some(deadline) = self.serve.default_deadline {
-            if deadline <= self.serve.max_delay {
-                return Err(ConfigError::DeadlineWithinBatchWindow {
-                    deadline_ns: deadline.as_nanos(),
-                    max_delay_ns: self.serve.max_delay.as_nanos(),
-                });
-            }
+        if self.serve.default_deadline == Some(Duration::ZERO) {
+            return Err(ConfigError::ZeroDefaultDeadline);
         }
         if let Some(policy) = &self.health {
             if policy.backoff_multiplier < 1.0 {
@@ -284,7 +271,6 @@ impl ServerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn polarized_executor() -> Executor<forms_arch::MappedLayer> {
         let mut rng = forms_rng::StdRng::seed_from_u64(0);
@@ -305,35 +291,36 @@ mod tests {
     #[test]
     fn validate_accepts_defaults_and_rejects_contradictions() {
         assert_eq!(Server::builder().validate(), Ok(()));
-        let zero = |f: fn(&mut ServeConfig)| {
+        let validate_with = |f: fn(&mut ServeConfig)| {
             let mut c = ServeConfig::default();
             f(&mut c);
             Server::builder().config(c).validate()
         };
-        assert_eq!(zero(|c| c.replicas = 0), Err(ConfigError::ZeroReplicas));
         assert_eq!(
-            zero(|c| c.queue_capacity = 0),
+            validate_with(|c| c.replicas = 0),
+            Err(ConfigError::ZeroReplicas)
+        );
+        assert_eq!(
+            validate_with(|c| c.queue_capacity = 0),
             Err(ConfigError::ZeroQueueCapacity)
         );
-        assert_eq!(zero(|c| c.max_batch = 0), Err(ConfigError::ZeroBatch));
-        // A default deadline inside the straggler window can never be met.
-        let contradictory = ServeConfig {
-            max_delay: Duration::from_millis(5),
-            default_deadline: Some(Duration::from_millis(2)),
-            ..ServeConfig::default()
-        };
-        assert!(matches!(
-            Server::builder().config(contradictory).validate(),
-            Err(ConfigError::DeadlineWithinBatchWindow { .. })
-        ));
-        // An explicit per-request deadline path is unaffected: only the
-        // *default* deadline is checked against the window.
-        let explicit_only = ServeConfig {
-            max_delay: Duration::from_millis(5),
-            default_deadline: None,
-            ..ServeConfig::default()
-        };
-        assert_eq!(Server::builder().config(explicit_only).validate(), Ok(()));
+        assert_eq!(
+            validate_with(|c| c.max_batch = 0),
+            Err(ConfigError::ZeroBatch)
+        );
+        // A zero default deadline expires every request at batch
+        // formation, so it can never be met.
+        assert_eq!(
+            validate_with(|c| c.default_deadline = Some(Duration::ZERO)),
+            Err(ConfigError::ZeroDefaultDeadline)
+        );
+        // A positive default deadline is accepted: no configured wait
+        // stands between a request and an idle replica.
+        assert_eq!(
+            validate_with(|c| c.default_deadline = Some(Duration::from_millis(1))),
+            Ok(())
+        );
+        assert_eq!(validate_with(|c| c.default_deadline = None), Ok(()));
         // Malformed health policies are typed errors instead of panics.
         let shrink = HealthPolicy {
             backoff_multiplier: 0.5,
@@ -357,13 +344,9 @@ mod tests {
 
     #[test]
     fn config_errors_render_useful_messages() {
-        let e = ConfigError::DeadlineWithinBatchWindow {
-            deadline_ns: 1_000,
-            max_delay_ns: 2_000_000,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("1000ns"), "{msg}");
-        assert!(msg.contains("stragglers"), "{msg}");
+        let msg = ConfigError::ZeroDefaultDeadline.to_string();
+        assert!(msg.contains("default deadline is zero"), "{msg}");
+        assert!(msg.contains("expire"), "{msg}");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!
 //! Each replica owns one warm [`InferenceSession`](forms_exec::InferenceSession)
 //! (reused buffers, shared immutable engines) and loops: pop a batch
-//! (blocking, with the dynamic-batching straggler window), drop requests
+//! (blocking for its head, then taking whatever else is already queued —
+//! work-conserving dynamic batching, so an idle replica never holds a
+//! request back waiting for stragglers), drop requests
 //! that were cancelled or whose deadline already passed — a request past
 //! its latency budget is *rejected, not executed*, because its client has
 //! given up — then run the survivors as one batched forward and fill each
@@ -49,10 +51,9 @@ pub struct ServeConfig {
     pub replicas: usize,
     /// Admission queue bound; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// Largest batch one replica executes at once.
+    /// Largest batch one replica executes at once. A replica never waits
+    /// to fill a batch: it runs whatever is queued when it becomes idle.
     pub max_batch: usize,
-    /// How long a replica waits for stragglers after the batch head.
-    pub max_delay: Duration,
     /// Deadline applied to every request submitted without an explicit
     /// one; `None` means no deadline.
     pub default_deadline: Option<Duration>,
@@ -64,7 +65,6 @@ impl Default for ServeConfig {
             replicas: 1,
             queue_capacity: 64,
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             default_deadline: None,
         }
     }
@@ -476,7 +476,7 @@ fn replica_loop<E: CrossbarEngine>(
     let mut live: Vec<Pending> = Vec::new();
     let mut staging: Vec<f32> = Vec::new();
     let mut out: Vec<f32> = Vec::new();
-    while queue.pop_batch(config.max_batch, config.max_delay, &mut batch) {
+    while queue.pop_batch(config.max_batch, &mut batch) {
         let dequeued = Instant::now();
         for pending in &mut batch {
             pending.span.dequeued = Some(dequeued);
@@ -508,6 +508,7 @@ fn replica_loop<E: CrossbarEngine>(
         match forward {
             Ok(()) => {
                 deltas.publish(session.layer_wall_ns(), session.layer_mvms(), telemetry);
+                telemetry.batches.fetch_add(1, Ordering::Relaxed);
                 let per_sample = out.len() / batch_size;
                 for (i, mut pending) in live.drain(..).enumerate() {
                     pending.span.responded = Some(Instant::now());

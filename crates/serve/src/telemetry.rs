@@ -16,10 +16,11 @@
 //! land in a bounded [`EventRing`], and replicas attribute wall time and
 //! MVM counts to individual weight layers between batches. All of it
 //! aggregates into [`TelemetrySnapshot`], whose JSON rendering (schema
-//! version 2) is the single schema shared by the `forms-net` telemetry
+//! version 3) is the single schema shared by the `forms-net` telemetry
 //! wire frame and the bench report writers; version-1 documents (without
-//! the tracing extensions) still parse, so old snapshots and old servers
-//! interoperate with new clients.
+//! the tracing extensions) and version-2 documents (without the batch
+//! count) still parse, so old snapshots and old servers interoperate with
+//! new clients.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -33,8 +34,9 @@ use crate::trace::{
 
 /// Version tag written into every telemetry JSON document. Version 2
 /// added the tracing extensions (`stages`, `events`, `slowest`,
-/// `layers`); they parse as optional so version-1 documents remain valid.
-pub const TELEMETRY_SCHEMA_VERSION: u32 = 2;
+/// `layers`) and version 3 the executed-batch count (`batches`); they
+/// parse as optional so older documents remain valid.
+pub const TELEMETRY_SCHEMA_VERSION: u32 = 3;
 
 /// Number of histogram buckets.
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -200,6 +202,10 @@ pub struct Telemetry {
     pub submitted: AtomicU64,
     /// Requests completed successfully.
     pub completed: AtomicU64,
+    /// Batches whose requests completed successfully; with a
+    /// work-conserving batcher their size follows load, and the mean is
+    /// `completed / batches`.
+    pub batches: AtomicU64,
     /// Requests refused at admission (queue full or service closing).
     pub shed: AtomicU64,
     /// Requests whose deadline passed before execution began.
@@ -249,6 +255,7 @@ impl Telemetry {
         Self {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             expired: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
@@ -337,6 +344,7 @@ impl Telemetry {
         TelemetrySnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
+            batches: self.batches.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             cancelled: self.cancelled.load(Ordering::Relaxed),
@@ -374,6 +382,9 @@ pub struct TelemetrySnapshot {
     pub submitted: u64,
     /// Requests completed successfully.
     pub completed: u64,
+    /// Batches whose requests completed successfully (0 on version-1 and
+    /// version-2 parses).
+    pub batches: u64,
     /// Requests refused at admission.
     pub shed: u64,
     /// Requests expired before execution.
@@ -572,8 +583,8 @@ impl TelemetrySnapshot {
     ///
     /// The document carries `schema_version` [`TELEMETRY_SCHEMA_VERSION`];
     /// the version-2 additions (`stages`, `events`, `slowest`, `layers`)
-    /// are *optional* on parse, so version-1 consumers ignore them and
-    /// version-1 documents still round-trip through
+    /// and the version-3 `batches` are *optional* on parse, so older
+    /// consumers ignore them and older documents still round-trip through
     /// [`from_json`](Self::from_json).
     pub fn to_json(&self) -> JsonValue {
         JsonValue::object(vec![
@@ -583,6 +594,7 @@ impl TelemetrySnapshot {
             ),
             ("submitted", JsonValue::Number(self.submitted as f64)),
             ("completed", JsonValue::Number(self.completed as f64)),
+            ("batches", JsonValue::Number(self.batches as f64)),
             ("shed", JsonValue::Number(self.shed as f64)),
             ("expired", JsonValue::Number(self.expired as f64)),
             ("cancelled", JsonValue::Number(self.cancelled as f64)),
@@ -627,9 +639,9 @@ impl TelemetrySnapshot {
     ///
     /// The version-1 fields (counters, `latency`, `plan`) are required;
     /// the version-2 tracing extensions (`stages`, `events`, `slowest`,
-    /// `layers`) default to empty when absent, so documents written by
-    /// older servers still parse. Extensions that *are* present must be
-    /// well-formed.
+    /// `layers`) default to empty and the version-3 `batches` to zero when
+    /// absent, so documents written by older servers still parse.
+    /// Extensions that *are* present must be well-formed.
     ///
     /// # Errors
     ///
@@ -673,6 +685,10 @@ impl TelemetrySnapshot {
         Ok(Self {
             submitted: counter(doc, "submitted")?,
             completed: counter(doc, "completed")?,
+            batches: match doc.get("batches") {
+                None => 0,
+                Some(_) => counter(doc, "batches")?,
+            },
             shed: counter(doc, "shed")?,
             expired: counter(doc, "expired")?,
             cancelled: counter(doc, "cancelled")?,
@@ -860,6 +876,7 @@ mod tests {
         TelemetrySnapshot {
             submitted,
             completed: counter(1 << 40),
+            batches: counter(1 << 40),
             shed: counter(1 << 32),
             expired: counter(1 << 32),
             cancelled: counter(1 << 32),
@@ -928,7 +945,14 @@ mod tests {
         // The v2 extensions are optional-with-default (old documents keep
         // parsing) but strict when present: a malformed value must error
         // rather than fall back to the default.
-        for key in ["schema_version", "stages", "events", "slowest", "layers"] {
+        for key in [
+            "schema_version",
+            "batches",
+            "stages",
+            "events",
+            "slowest",
+            "layers",
+        ] {
             let stripped =
                 JsonValue::Object(fields.iter().filter(|(k, _)| k != key).cloned().collect());
             assert!(
@@ -975,15 +999,23 @@ mod tests {
         let JsonValue::Object(fields) = &rendered else {
             panic!("snapshot renders an object")
         };
-        const V2_ONLY: &[&str] = &["schema_version", "stages", "events", "slowest", "layers"];
+        const NOT_IN_V1: &[&str] = &[
+            "schema_version",
+            "batches",
+            "stages",
+            "events",
+            "slowest",
+            "layers",
+        ];
         let v1 = JsonValue::Object(
             fields
                 .iter()
-                .filter(|(k, _)| !V2_ONLY.contains(&k.as_str()))
+                .filter(|(k, _)| !NOT_IN_V1.contains(&k.as_str()))
                 .cloned()
                 .collect(),
         );
         let parsed = TelemetrySnapshot::from_json(&v1).expect("v1 document parses");
+        assert_eq!(parsed.batches, 0);
         assert_eq!(parsed.stages, StageSnapshots::empty());
         assert!(parsed.events.is_empty());
         assert!(parsed.slowest.is_empty());

@@ -190,7 +190,6 @@ fn served_outputs_match_direct_forward_bitwise() {
     let config = ServeConfig {
         replicas: 2,
         max_batch: 4,
-        max_delay: Duration::from_millis(1),
         ..ServeConfig::default()
     };
     let inputs: Vec<Vec<f32>> = (0..12).map(|s| payload(24, s)).collect();
@@ -218,6 +217,60 @@ fn served_outputs_match_direct_forward_bitwise() {
 }
 
 #[test]
+fn requests_queued_behind_a_busy_replica_run_in_full_batches() {
+    let net = linear_net(16, 4, 9);
+    let exec = Executor::<PacedEngine<DigitalEngine>>::map_network(
+        &net,
+        &PacedConfig {
+            inner: OK,
+            latency: Duration::from_millis(5),
+        },
+        16,
+    )
+    .unwrap();
+    let mut reference = exec.clone();
+    let config = ServeConfig {
+        replicas: 1,
+        max_batch: 4,
+        ..ServeConfig::default()
+    };
+    let inputs: Vec<Vec<f32>> = (0..9).map(|s| payload(16, 100 + s)).collect();
+    let (responses, telemetry) = serve(&exec, &[16], &config, |handle| {
+        let head = handle.submit(inputs[0].clone()).unwrap();
+        // Once the replica has taken the head it is busy for at least one
+        // paced MVM; the burst piles up behind it meanwhile.
+        while handle.queue_len() > 0 {
+            std::thread::yield_now();
+        }
+        let burst: Vec<_> = inputs[1..]
+            .iter()
+            .map(|p| handle.submit(p.clone()).unwrap())
+            .collect();
+        std::iter::once(head)
+            .chain(burst)
+            .map(|t| t.wait().unwrap())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(responses[0].batch_size, 1, "the lone head runs alone");
+    for (k, response) in responses.iter().enumerate().skip(1) {
+        assert_eq!(
+            response.batch_size, config.max_batch,
+            "request {k} queued behind the busy replica runs in a full batch"
+        );
+    }
+    assert_eq!(telemetry.completed, 9);
+    assert_eq!(telemetry.batches, 3, "one lone head, then two full batches");
+    for (input, response) in inputs.iter().zip(&responses) {
+        let y = reference.forward(&Tensor::from_vec(input.clone(), &[1, 16]));
+        assert_eq!(
+            response.output,
+            y.data(),
+            "batched output is bitwise per-sample"
+        );
+    }
+}
+
+#[test]
 fn overload_sheds_instead_of_growing_the_queue() {
     let net = linear_net(16, 4, 2);
     let exec = Executor::<PacedEngine<DigitalEngine>>::map_network(
@@ -234,7 +287,6 @@ fn overload_sheds_instead_of_growing_the_queue() {
         replicas: 1,
         queue_capacity: 4,
         max_batch: 2,
-        max_delay: Duration::ZERO,
         default_deadline: None,
     };
     let max_queue = Arc::new(AtomicUsize::new(0));
@@ -282,7 +334,6 @@ fn expired_requests_are_rejected_not_executed() {
         replicas: 1,
         queue_capacity: 16,
         max_batch: 1,
-        max_delay: Duration::ZERO,
         default_deadline: Some(Duration::from_millis(5)),
     };
     let (results, telemetry) = serve(&exec, &[8], &config, |handle| {
@@ -319,7 +370,6 @@ fn cancellation_resolves_without_execution() {
         replicas: 1,
         queue_capacity: 16,
         max_batch: 1,
-        max_delay: Duration::ZERO,
         default_deadline: None,
     };
     let (result, telemetry) = serve(&exec, &[8], &config, |handle| {
@@ -370,7 +420,6 @@ fn panicking_engine_fails_its_batch_and_service_drains() {
         replicas: 2,
         queue_capacity: 32,
         max_batch: 4,
-        max_delay: Duration::from_millis(1),
         default_deadline: None,
     };
     // Must terminate: a panicking replica may not hang shutdown. The
@@ -397,7 +446,6 @@ fn open_loop_load_generator_accounts_every_request() {
         replicas: 2,
         queue_capacity: 32,
         max_batch: 4,
-        max_delay: Duration::from_millis(1),
         default_deadline: None,
     };
     let spec = OpenLoopSpec {
@@ -442,7 +490,6 @@ fn replicas_scale_throughput_with_paced_engines() {
             replicas,
             queue_capacity: 64,
             max_batch: 1,
-            max_delay: Duration::ZERO,
             default_deadline: None,
         };
         let start = std::time::Instant::now();

@@ -126,7 +126,6 @@ fn stage_durations_telescope_exactly_for_every_completed_request() {
         replicas: 3,
         queue_capacity: 128,
         max_batch: 4,
-        max_delay: Duration::from_micros(300),
         default_deadline: None,
     };
     let (responses, telemetry) = serve(&exec, &[1, 4, 6], &config, |handle| {
@@ -188,7 +187,6 @@ fn requests_that_never_execute_carry_no_execute_stage() {
         replicas: 1,
         queue_capacity: 2,
         max_batch: 1,
-        max_delay: Duration::ZERO,
         default_deadline: Some(Duration::from_millis(3)),
     };
     let ((), telemetry) = serve(&exec, &[8], &config, |handle| {
@@ -249,7 +247,6 @@ fn panicking_replica_flushes_partial_spans_as_terminal_events() {
         replicas: 2,
         queue_capacity: 32,
         max_batch: 4,
-        max_delay: Duration::from_millis(1),
         default_deadline: None,
     };
     let (results, telemetry) = Server::builder()

@@ -1,7 +1,8 @@
 //! Network serving quickstart: a mapped FORMS model behind the TCP
 //! front-end on an ephemeral loopback port, driven by the pipelined
-//! client — requests, a deliberately impossible deadline surfacing as a
-//! wire status, and a telemetry snapshot fetched over the same socket.
+//! client — requests batched by a work-conserving replica, a deliberately
+//! impossible deadline surfacing as a wire status, and a telemetry
+//! snapshot fetched over the same socket.
 //!
 //! ```text
 //! cargo run --release --example net_serve
@@ -34,11 +35,13 @@ fn main() {
     let exec = Executor::<MappedLayer>::map_network(&net, &MappingConfig::paper(8), 16)
         .expect("polarized model maps");
 
+    // Batching is work-conserving: an idle replica runs whatever is
+    // queued, up to `max_batch`, without waiting for stragglers. Pipelined
+    // requests that arrive while both replicas are busy share a batch.
     let serve_config = ServeConfig {
         replicas: 2,
         queue_capacity: 32,
         max_batch: 4,
-        max_delay: Duration::from_micros(500),
         default_deadline: None,
     };
     let net_config = NetConfig::default();
@@ -108,7 +111,7 @@ fn main() {
     .expect("loopback listener binds");
 
     println!(
-        "final snapshot after shutdown: {} completed / {} expired",
-        telemetry.completed, telemetry.expired
+        "final snapshot after shutdown: {} completed in {} batches / {} expired",
+        telemetry.completed, telemetry.batches, telemetry.expired
     );
 }
