@@ -223,7 +223,7 @@ fn requests_queued_behind_a_busy_replica_run_in_full_batches() {
         &net,
         &PacedConfig {
             inner: OK,
-            latency: Duration::from_millis(5),
+            latency: Duration::from_millis(20),
         },
         16,
     )
