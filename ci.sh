@@ -19,6 +19,23 @@ echo "== formsbench (build + its own tests) =="
 # so a serving API change that breaks the benchmark fails CI.
 cargo test --release --offline --manifest-path formsbench/Cargo.toml
 
+echo "== end-to-end correctness smoke (formsbench mlp-rewrite) =="
+# formsbench exits 0 even when a served output is wrong, so read its
+# verdict here. mlp-rewrite serves over a real socket from 2 resilient
+# replicas while stuck-at campaigns force rebuilds, and checks every
+# served output bitwise against the independent per-sample path
+# (Executor::forward). The last line of its output is one JSON object;
+# fail unless it reports "correct": true and "failed": 0.
+verdict=$(cargo run --quiet --release --offline --manifest-path formsbench/Cargo.toml -- \
+    --workload mlp-rewrite --seed 7 --seconds 3 --trace 0 | tail -n 1)
+case "$verdict" in
+    *'"correct": true,'*'"failed": 0,'*)
+        echo "ok: formsbench mlp-rewrite served every output correctly" ;;
+    *)
+        echo "formsbench mlp-rewrite is not correct: $verdict" >&2
+        exit 1 ;;
+esac
+
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 

@@ -186,12 +186,14 @@ impl Accelerator {
     }
 
     /// Applies log-normal device variation to every crossbar of every
-    /// layer (paper §V-E).
+    /// layer (paper §V-E). A drifted layer serves batches from the f64
+    /// window sweep; one left on the integer grid (σ = 0) keeps the GEMM.
     pub fn apply_variation<R: Rng + ?Sized>(&mut self, v: &LogNormalVariation, rng: &mut R) {
         for layer in self.exec.engines_mut() {
             for xbar in layer.crossbars_mut() {
                 v.apply(xbar, rng);
             }
+            layer.commit_writes();
         }
     }
 

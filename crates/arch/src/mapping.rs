@@ -9,11 +9,11 @@
 
 use forms_exec::{CrossbarEngine, EngineHealth, ExecError, FaultableEngine, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_is_zero, Adc, BitSlicer,
-    CellSpec, Crossbar, CurrentNoise, FaultCampaign, FaultReport,
+    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, Adc, BitSlicer, CellSpec, Crossbar,
+    CurrentNoise, FaultCampaign, FaultReport,
 };
 use forms_rng::Rng;
-use forms_tensor::Tensor;
+use forms_tensor::{igemm, Tensor};
 
 use crate::zero_skip::{fragment_eic, ShiftRegisterBank};
 
@@ -149,15 +149,16 @@ impl forms_hwmodel::DynamicActivity for FormsActivity {
     }
 }
 
-/// Samples per tile of the blocked [`MappedLayer::matmul_into`] kernel.
+/// Samples per tile of [`MappedLayer::matmul_into`]'s f64 window sweep
+/// (drifted or lossy arrays; the integer GEMM is not tiled).
 ///
 /// Each fragment's weight window is rebuilt once per tile and swept over
 /// all of the tile's samples, so the tile size trades window-build
 /// amortization against working-set residency. At the paper's full shape
-/// (fragment 8, 128 columns × 4 cells) one tile holds an 8×512 integer
-/// window (8 KiB), 32 packed plane sets and 32×128 accumulators — around
-/// 64 KiB, comfortably inside L2 — while paying each window build only
-/// once per 32 samples.
+/// (fragment 8, 128 columns × 4 cells) one tile holds an 8×512 f64
+/// window (32 KiB), 32 packed plane sets and 32×128 accumulators —
+/// comfortably inside L2 — while paying each window build only once per
+/// 32 samples.
 pub const MATMUL_TILE: usize = 32;
 
 /// Reusable working memory of one [`MappedLayer`] MVM.
@@ -183,30 +184,17 @@ pub struct MvmScratch {
     /// over all mapped cell columns — the division by the conductance step
     /// is paid once per cell instead of once per cell per input cycle.
     cell_vals: Vec<f64>,
-    /// Batched path: gathered fragment codes of one tile of samples,
+    /// Integer GEMM: the batch's input codes gathered onto the compact
+    /// rows, sample-major.
+    gemm_codes: Vec<u32>,
+    /// Window sweep: gathered fragment codes of one tile of samples,
     /// sample-major.
     tile_codes: Vec<u32>,
-    /// Batched path: effective input cycles per sample of the tile.
+    /// Window sweep: effective input cycles per sample of the tile.
     tile_eic: Vec<u32>,
-    /// Batched path: packed bit planes of the whole tile (see
+    /// Window sweep: packed bit planes of the whole tile (see
     /// [`pack_tile_bit_planes`]).
     tile_planes: Vec<u64>,
-    /// Batched fast path: integer image of the fragment window (see
-    /// [`Crossbar::integral_dequant_codes`]).
-    icell: Vec<u16>,
-    /// Batched fast path: integer column currents of one shift cycle.
-    icurr: Vec<u32>,
-    /// Batched fast path: per-cell-column shift-&-add accumulators of one
-    /// sample.
-    cell_acc: Vec<u64>,
-}
-
-/// Accumulates one active window row into the integer column currents.
-#[inline]
-fn add_row_u16(icurr: &mut [u32], row: &[u16]) {
-    for (acc, &v) in icurr.iter_mut().zip(row) {
-        *acc += u32::from(v);
-    }
 }
 
 /// Accumulates one active window row into the f64 column currents.
@@ -247,6 +235,13 @@ pub struct MappedLayer {
     /// Pristine nominal output ceiling: `max_col Σ|code| × max_input ×
     /// step` — what no clean MVM output can exceed (per unit input scale).
     ceiling: f64,
+    /// Signed weight image, compact rows × compact columns row-major:
+    /// `±recombine(cells)` with the fragment's sign-indicator sign — the
+    /// operand of the integer GEMM. `None` while the cells are off the
+    /// integer grid (drift), the ADC is lossy, or direct writes through
+    /// [`crossbars_mut`](Self::crossbars_mut) await
+    /// [`commit_writes`](Self::commit_writes).
+    image: Option<Vec<i32>>,
     /// Cumulative stuck cells injected through [`inject_faults`](FaultableEngine::inject_faults).
     faulted_cells: u64,
     /// Cumulative drifted cells injected likewise.
@@ -360,7 +355,7 @@ impl MappedLayer {
             .fold(0.0f64, f64::max);
 
         let adc = Adc::for_fragment(m, &config.cell);
-        Ok(Self {
+        let mut layer = Self {
             config,
             row_index,
             col_index,
@@ -374,9 +369,47 @@ impl MappedLayer {
             adc,
             slicer,
             ceiling,
+            image: None,
             faulted_cells: 0,
             drifted_cells: 0,
-        })
+        };
+        layer.image = layer.signed_weight_image();
+        Ok(layer)
+    }
+
+    /// Builds the signed weight image from the current cells, or `None`
+    /// when the integer GEMM would not be exact (see
+    /// [`integer_matmul_path`](Self::integer_matmul_path)).
+    fn signed_weight_image(&self) -> Option<Vec<i32>> {
+        let m = self.config.fragment_size;
+        if !self.adc.is_lossless_over(m, &self.config.cell) {
+            return None;
+        }
+        let shape = (self.row_index.len(), self.col_index.len());
+        self.slicer
+            .integral_image(&self.crossbars, self.xb_cols, shape, |r, c, code| {
+                let code = code as i64;
+                if self.signs[c * self.fragments_per_col + r / m] {
+                    code
+                } else {
+                    -code
+                }
+            })
+    }
+
+    /// Commits pending direct writes on every crossbar (see
+    /// [`Crossbar::commit_writes`]) and rebuilds the signed weight image,
+    /// returning the layer to the integer GEMM when its cells allow.
+    /// Call after writing cells through [`crossbars_mut`](Self::crossbars_mut).
+    pub fn commit_writes(&mut self) {
+        // Free the stale image first, so the rebuild can reuse its memory.
+        self.image = None;
+        for xbar in &mut self.crossbars {
+            if xbar.is_dirty() {
+                xbar.commit_writes();
+            }
+        }
+        self.image = self.signed_weight_image();
     }
 
     /// The mapping configuration.
@@ -406,7 +439,12 @@ impl MappedLayer {
 
     /// Mutable access to the physical crossbars, for variation and fault
     /// injection.
+    ///
+    /// Drops the signed weight image, so [`matmul_into`](Self::matmul_into)
+    /// takes the f64 window sweep until [`commit_writes`](Self::commit_writes)
+    /// rebuilds it.
     pub fn crossbars_mut(&mut self) -> &mut [Crossbar] {
+        self.image = None;
         &mut self.crossbars
     }
 
@@ -539,41 +577,43 @@ impl MappedLayer {
         self.matvec_impl(input_codes, input_scale, |c| noise.perturb(c, rng))
     }
 
-    /// Whether the batched kernel may run its integer fast path: every
-    /// mapped cell dequantizes to an exact integer code (no conductance
-    /// drift) *and* the ADC is lossless over the fragment's current range
-    /// (full scale on the top code, range covering `fragment_size ×
-    /// max_cell_code`). Under those conditions ADC conversion is the
-    /// identity on every current the array can produce, so integer
-    /// accumulation is bitwise identical to the f64 path.
+    /// Whether [`matmul_into`](Self::matmul_into) runs the exact integer
+    /// GEMM: the signed weight image is present. [`map`](Self::map),
+    /// [`commit_writes`](Self::commit_writes) and
+    /// [`inject_faults`](FaultableEngine::inject_faults) build it when
+    /// every cell holds an exact integer code (pristine and stuck-at
+    /// arrays) and the ADC is lossless over a fragment (full scale on the
+    /// top code, range covering `fragment_size × max_cell_code`);
+    /// [`crossbars_mut`](Self::crossbars_mut) drops it. Under those
+    /// conditions every conversion is the identity, so the bit-serial
+    /// pipeline computes exactly `codes × signed integer weights` and the
+    /// GEMM is bitwise identical to it.
     pub fn integer_matmul_path(&self) -> bool {
-        let max_window = self.config.fragment_size as u64 * u64::from(self.config.cell.max_code());
-        self.adc.full_scale() == f64::from(self.adc.levels() - 1)
-            && max_window as f64 <= self.adc.full_scale()
-            && self
-                .crossbars
-                .iter()
-                .all(|x| x.integral_dequant_codes().is_some())
+        self.image.is_some()
     }
 
-    /// The blocked weight-stationary batch kernel: executes
-    /// `scales.len()` matrix-vector products in one sweep, bitwise
-    /// identical to calling [`matvec_into`](Self::matvec_into) once per
-    /// sample (outputs *and* merged stats).
+    /// The batch kernel: executes `scales.len()` matrix-vector products in
+    /// one call, bitwise identical to calling
+    /// [`matvec_into`](Self::matvec_into) once per sample (outputs *and*
+    /// merged stats).
     ///
     /// `batch_codes` holds the samples' input codes sample-major
     /// (`scales.len() × original rows`); `outs` receives the concatenated
     /// outputs (`scales.len() × original columns`, overwritten).
     ///
-    /// Samples are processed in tiles of [`MATMUL_TILE`]; per fragment the
-    /// weight window is materialized once per tile and swept over every
-    /// sample, instead of once per sample as the per-sample path must.
-    /// Pristine arrays additionally take an integer fast path (see
-    /// [`integer_matmul_path`](Self::integer_matmul_path)) that replaces
-    /// per-current ADC division with exact integer adds and skips planes
-    /// whose packed input bits are all zero; drifted arrays fall back to
-    /// an f64 path that preserves the per-sample ascending-row summation
-    /// order, keeping results bitwise identical either way.
+    /// Which path serves the batch:
+    /// - pristine and stuck-at arrays (see
+    ///   [`integer_matmul_path`](Self::integer_matmul_path)): one exact
+    ///   integer GEMM of the gathered codes against the cached signed
+    ///   weight image. `MvmStats` are computed arithmetically from each
+    ///   (sample, fragment)'s effective input cycles (EIC): the cycles the
+    ///   shift registers spend, and one conversion per mapped cell column
+    ///   per cycle;
+    /// - drifted or lossy arrays: the f64 window sweep. Per fragment, the
+    ///   dequantized weight window is built once per tile of
+    ///   [`MATMUL_TILE`] samples and swept bit-serially over each sample,
+    ///   in the per-sample ascending-row summation order and through the
+    ///   real ADC.
     ///
     /// # Panics
     ///
@@ -586,12 +626,6 @@ impl MappedLayer {
         scratch: &mut MvmScratch,
         outs: &mut [f32],
     ) -> MvmStats {
-        let mut stats = MvmStats::default();
-        if scales.is_empty() {
-            assert!(batch_codes.is_empty(), "codes without scales");
-            assert!(outs.is_empty(), "outputs without scales");
-            return stats;
-        }
         let nsamples = scales.len();
         assert_eq!(
             batch_codes.len(),
@@ -606,14 +640,85 @@ impl MappedLayer {
         for sample in batch_codes.chunks_exact(self.orig_rows) {
             self.validate_input_codes(sample);
         }
+        let Some(image) = self.image.as_deref() else {
+            return self.matmul_window_sweep(batch_codes, scales, scratch, outs);
+        };
+        let mut stats = MvmStats::default();
+        scratch.gemm_codes.clear();
+        for sample in batch_codes.chunks_exact(self.orig_rows) {
+            let start = scratch.gemm_codes.len();
+            scratch
+                .gemm_codes
+                .extend(self.row_index.iter().map(|&r| sample[r]));
+            for fragment in scratch.gemm_codes[start..].chunks(self.config.fragment_size) {
+                self.account_fragment(fragment, &mut stats);
+            }
+        }
+        scratch.accs.clear();
+        scratch.accs.resize(nsamples * self.col_index.len(), 0);
+        igemm(
+            &scratch.gemm_codes,
+            image,
+            self.col_index.len(),
+            &mut scratch.accs,
+        );
+        self.write_outputs(&scratch.accs, scales, outs);
+        stats
+    }
+
+    /// Accounts one (sample, fragment) activation into `stats` exactly as
+    /// the bit-serial path spends it — input cycles (the fragment's EIC
+    /// under zero-skipping, all `input_bits` otherwise) and one conversion
+    /// per mapped cell column per cycle — and returns the cycles.
+    fn account_fragment(&self, codes: &[u32], stats: &mut MvmStats) -> u32 {
+        let input_bits = self.config.input_bits;
+        let cycles = if self.config.zero_skipping {
+            fragment_eic(codes)
+        } else {
+            input_bits
+        };
+        let cell_cols = (self.col_index.len() * self.config.cells_per_weight()) as u64;
+        stats.fragments_total += 1;
+        stats.cycles_without_skip += u64::from(input_bits);
+        stats.cycles += u64::from(cycles);
+        stats.fragments_skipped += u64::from(cycles == 0);
+        stats.adc_conversions += u64::from(cycles) * cell_cols;
+        cycles
+    }
+
+    /// Scales compact-column accumulators (`scales.len() × compact
+    /// columns`) into original-column outputs; pruned columns read 0.
+    fn write_outputs(&self, accs: &[i64], scales: &[f32], outs: &mut [f32]) {
+        let ncols = self.col_index.len();
+        for ((accs, &scale), out) in accs
+            .chunks_exact(ncols)
+            .zip(scales)
+            .zip(outs.chunks_exact_mut(self.orig_cols))
+        {
+            out.fill(0.0);
+            for (&acc, &c) in accs.iter().zip(&self.col_index) {
+                out[c] = acc as f32 * self.step * scale;
+            }
+        }
+    }
+
+    /// The f64 window sweep behind [`matmul_into`](Self::matmul_into) for
+    /// drifted or lossy arrays (inputs already validated).
+    fn matmul_window_sweep(
+        &self,
+        batch_codes: &[u32],
+        scales: &[f32],
+        scratch: &mut MvmScratch,
+        outs: &mut [f32],
+    ) -> MvmStats {
+        let nsamples = scales.len();
         let m = self.config.fragment_size;
         let dim = self.config.crossbar_dim;
         let cpw = self.config.cells_per_weight();
         let cell_bits = self.config.cell.bits();
         let ncols = self.col_index.len();
         let cell_cols = ncols * cpw;
-        let fast = self.integer_matmul_path();
-        outs.fill(0.0);
+        let mut stats = MvmStats::default();
 
         for tile_lo in (0..nsamples).step_by(MATMUL_TILE) {
             let tile = tile_lo..(tile_lo + MATMUL_TILE).min(nsamples);
@@ -627,8 +732,7 @@ impl MappedLayer {
                 let frag_rows = hi - lo;
 
                 // Gather the tile's fragment codes (sample-major) and each
-                // sample's effective input cycles, accounting stats exactly
-                // as the per-sample path would.
+                // sample's effective input cycles.
                 scratch.tile_codes.clear();
                 scratch.tile_eic.clear();
                 let mut max_planes = 0u32;
@@ -638,19 +742,9 @@ impl MappedLayer {
                     scratch
                         .tile_codes
                         .extend((lo..hi).map(|i| codes[self.row_index[i]]));
-                    let n_planes = if self.config.zero_skipping {
-                        fragment_eic(&scratch.tile_codes[start..])
-                    } else {
-                        self.config.input_bits
-                    };
+                    let n_planes = self.account_fragment(&scratch.tile_codes[start..], &mut stats);
                     scratch.tile_eic.push(n_planes);
                     max_planes = max_planes.max(n_planes);
-                    stats.fragments_total += 1;
-                    stats.cycles_without_skip += u64::from(self.config.input_bits);
-                    stats.cycles += u64::from(n_planes);
-                    if n_planes == 0 {
-                        stats.fragments_skipped += 1;
-                    }
                 }
                 if max_planes == 0 {
                     continue;
@@ -663,153 +757,77 @@ impl MappedLayer {
                 );
                 let stride = max_planes as usize * words;
                 let (xr, row_lo) = (lo / dim, lo % dim);
-
-                if fast {
-                    let MvmScratch {
-                        tile_eic,
-                        tile_planes,
-                        icell,
-                        icurr,
-                        cell_acc,
-                        accs,
-                        ..
-                    } = scratch;
-                    // Integer window, once per (fragment, tile).
-                    icell.clear();
-                    icell.resize(frag_rows * cell_cols, 0);
-                    for r in 0..frag_rows {
-                        let row = &mut icell[r * cell_cols..(r + 1) * cell_cols];
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[xr * self.xb_cols + xc]
-                                .integral_row_into(row_lo + r, &mut row[col_lo..col_hi]);
+                let MvmScratch {
+                    tile_eic,
+                    tile_planes,
+                    cell_vals,
+                    currents,
+                    slice_acc,
+                    accs,
+                    ..
+                } = scratch;
+                // f64 window, once per (fragment, tile).
+                cell_vals.clear();
+                cell_vals.resize(frag_rows * cell_cols, 0.0);
+                for r in 0..frag_rows {
+                    let row = &mut cell_vals[r * cell_cols..(r + 1) * cell_cols];
+                    for xc in 0..self.xb_cols {
+                        let col_lo = xc * dim;
+                        if col_lo >= cell_cols {
+                            break;
                         }
+                        let col_hi = (col_lo + dim).min(cell_cols);
+                        self.crossbars[xr * self.xb_cols + xc]
+                            .dequant_row_into(row_lo + r, &mut row[col_lo..col_hi]);
                     }
-                    for (si, &eic) in tile_eic.iter().enumerate() {
-                        if eic == 0 {
-                            continue;
-                        }
-                        cell_acc.clear();
-                        cell_acc.resize(cell_cols, 0);
-                        let planes = &tile_planes[si * stride..][..eic as usize * words];
-                        for (cycle, plane) in planes.chunks_exact(words).enumerate() {
-                            if plane_is_zero(plane) {
-                                continue;
-                            }
-                            icurr.clear();
-                            icurr.resize(cell_cols, 0);
-                            for_each_set_bit(plane, |i| {
-                                if i < frag_rows {
-                                    add_row_u16(icurr, &icell[i * cell_cols..(i + 1) * cell_cols]);
-                                }
-                            });
-                            for (acc, &c) in cell_acc.iter_mut().zip(icurr.iter()) {
-                                *acc += u64::from(c) << cycle;
-                            }
-                        }
-                        // Lossless conversion is the identity, so the
-                        // conversions are counted arithmetically: every
-                        // column converts every slice each shift cycle.
-                        stats.adc_conversions += u64::from(eic) * (cell_cols as u64);
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            let mut frag_total = 0u64;
-                            for &s in &cell_acc[ci * cpw..(ci + 1) * cpw] {
-                                frag_total = (frag_total << cell_bits) + s;
-                            }
-                            let positive = self.signs[ci * self.fragments_per_col + frag];
-                            *acc += if positive {
-                                frag_total as i64
-                            } else {
-                                -(frag_total as i64)
-                            };
-                        }
+                }
+                for (si, &eic) in tile_eic.iter().enumerate() {
+                    if eic == 0 {
+                        continue;
                     }
-                } else {
-                    let MvmScratch {
-                        tile_eic,
-                        tile_planes,
-                        cell_vals,
-                        currents,
-                        slice_acc,
-                        accs,
-                        ..
-                    } = scratch;
-                    // f64 window, once per (fragment, tile).
-                    cell_vals.clear();
-                    cell_vals.resize(frag_rows * cell_cols, 0.0);
-                    for r in 0..frag_rows {
-                        let row = &mut cell_vals[r * cell_cols..(r + 1) * cell_cols];
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
+                    let n_planes = eic as usize;
+                    // Currents accumulate active rows in ascending order,
+                    // matching the per-sample summation order bitwise.
+                    currents.clear();
+                    currents.resize(n_planes * cell_cols, 0.0);
+                    let planes = &tile_planes[si * stride..][..n_planes * words];
+                    for (cycle, plane) in planes.chunks_exact(words).enumerate() {
+                        let row = &mut currents[cycle * cell_cols..(cycle + 1) * cell_cols];
+                        for_each_set_bit(plane, |i| {
+                            if i < frag_rows {
+                                add_row_f64(row, &cell_vals[i * cell_cols..(i + 1) * cell_cols]);
                             }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[xr * self.xb_cols + xc]
-                                .dequant_row_into(row_lo + r, &mut row[col_lo..col_hi]);
-                        }
+                        });
                     }
-                    for (si, &eic) in tile_eic.iter().enumerate() {
-                        if eic == 0 {
-                            continue;
-                        }
-                        let n_planes = eic as usize;
-                        // Currents accumulate active rows in ascending
-                        // order, matching the per-sample summation order
-                        // bitwise.
-                        currents.clear();
-                        currents.resize(n_planes * cell_cols, 0.0);
-                        let planes = &tile_planes[si * stride..][..n_planes * words];
-                        for (cycle, plane) in planes.chunks_exact(words).enumerate() {
-                            let row = &mut currents[cycle * cell_cols..(cycle + 1) * cell_cols];
-                            for_each_set_bit(plane, |i| {
-                                if i < frag_rows {
-                                    add_row_f64(
-                                        row,
-                                        &cell_vals[i * cell_cols..(i + 1) * cell_cols],
-                                    );
-                                }
-                            });
-                        }
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            slice_acc.clear();
-                            slice_acc.resize(cpw, 0);
-                            for cycle in 0..n_planes {
-                                let cur = &currents[cycle * cell_cols..];
-                                for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                                    let code =
-                                        self.adc.convert(cur[ci * cpw + k], &self.config.cell);
-                                    stats.adc_conversions += 1;
-                                    *acc_k += u64::from(code) << cycle;
-                                }
+                    let sample_accs = &mut accs[si * ncols..][..ncols];
+                    for (ci, acc) in sample_accs.iter_mut().enumerate() {
+                        slice_acc.clear();
+                        slice_acc.resize(cpw, 0);
+                        for cycle in 0..n_planes {
+                            let cur = &currents[cycle * cell_cols..];
+                            for (k, acc_k) in slice_acc.iter_mut().enumerate() {
+                                let code = self.adc.convert(cur[ci * cpw + k], &self.config.cell);
+                                *acc_k += u64::from(code) << cycle;
                             }
-                            let mut frag_total = 0u64;
-                            for &s in slice_acc.iter() {
-                                frag_total = (frag_total << cell_bits) + s;
-                            }
-                            let positive = self.signs[ci * self.fragments_per_col + frag];
-                            *acc += if positive {
-                                frag_total as i64
-                            } else {
-                                -(frag_total as i64)
-                            };
                         }
+                        let mut frag_total = 0u64;
+                        for &s in slice_acc.iter() {
+                            frag_total = (frag_total << cell_bits) + s;
+                        }
+                        let positive = self.signs[ci * self.fragments_per_col + frag];
+                        *acc += if positive {
+                            frag_total as i64
+                        } else {
+                            -(frag_total as i64)
+                        };
                     }
                 }
             }
-
-            for (si, s) in tile.enumerate() {
-                let out = &mut outs[s * self.orig_cols..][..self.orig_cols];
-                for (ci, &c) in self.col_index.iter().enumerate() {
-                    out[c] = scratch.accs[si * ncols + ci] as f32 * self.step * scales[s];
-                }
-            }
+            self.write_outputs(
+                &scratch.accs,
+                &scales[tile.clone()],
+                &mut outs[tile.start * self.orig_cols..tile.end * self.orig_cols],
+            );
         }
         stats
     }
@@ -1131,6 +1149,9 @@ impl FaultableEngine for MappedLayer {
         }
         self.faulted_cells += total.stuck() as u64;
         self.drifted_cells += total.drifted as u64;
+        // Stuck-at cells land on code rails, so the layer stays on the
+        // integer GEMM.
+        self.commit_writes();
         total
     }
 }

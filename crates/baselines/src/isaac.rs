@@ -2,12 +2,12 @@
 
 use forms_exec::{ExecError, Merge};
 use forms_reram::{
-    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_is_zero, plane_ones, Adc,
-    BitSlicer, CellSpec, Crossbar, FaultCampaign, FaultReport,
+    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_ones, Adc, BitSlicer, CellSpec,
+    Crossbar, FaultCampaign, FaultReport,
 };
-use forms_tensor::Tensor;
+use forms_tensor::{igemm, Tensor};
 
-/// Samples per tile of the blocked [`IsaacLayer::matmul_into`] kernel —
+/// Samples per tile of [`IsaacLayer::matmul_into`]'s f64 window sweep —
 /// kept equal to `forms_arch::MATMUL_TILE` so FORMS-vs-ISAAC batch
 /// throughput comparisons use the same blocking.
 const MATMUL_TILE: usize = 32;
@@ -59,18 +59,14 @@ pub struct IsaacScratch {
     /// all mapped cell columns — the division by the conductance step is
     /// paid once per cell instead of once per cell per input bit plane.
     cell_vals: Vec<f64>,
-    /// Batched path: gathered block codes of one tile of samples,
+    /// Integer GEMM: the batch's input codes gathered onto the compact
+    /// rows, sample-major.
+    gemm_codes: Vec<u32>,
+    /// Window sweep: gathered block codes of one tile of samples,
     /// sample-major.
     tile_codes: Vec<u32>,
-    /// Batched path: packed bit planes of the whole tile.
+    /// Window sweep: packed bit planes of the whole tile.
     tile_planes: Vec<u64>,
-    /// Batched fast path: integer image of the block window.
-    icell: Vec<u16>,
-    /// Batched fast path: integer column currents of one bit plane.
-    icurr: Vec<u32>,
-    /// Batched fast path: per-cell-column shift-&-add accumulators of one
-    /// sample.
-    cell_acc: Vec<u64>,
 }
 
 /// A signed weight matrix mapped with ISAAC's offset encoding.
@@ -96,6 +92,13 @@ pub struct IsaacLayer {
     /// — the offset correction cancels the bias exactly on clean arrays,
     /// so no clean output can exceed this (per unit input scale).
     ceiling: f64,
+    /// Signed weight image, compact rows × compact columns row-major:
+    /// `recombine(cells) − bias`, the offset correction folded in — the
+    /// operand of the integer GEMM. `None` while the cells are off the
+    /// integer grid (drift), the ADC is lossy, or direct writes through
+    /// [`crossbars_mut`](Self::crossbars_mut) await
+    /// [`commit_writes`](Self::commit_writes).
+    image: Option<Vec<i32>>,
     /// Cumulative stuck cells injected through fault campaigns.
     faulted_cells: u64,
     /// Cumulative drifted cells injected likewise.
@@ -181,7 +184,7 @@ impl IsaacLayer {
             .fold(0.0f64, f64::max);
 
         let adc = Adc::ideal_for(crossbar_dim, &cell);
-        Ok(Self {
+        let mut layer = Self {
             crossbar_dim,
             input_bits,
             bias,
@@ -195,14 +198,51 @@ impl IsaacLayer {
             adc,
             slicer,
             ceiling,
+            image: None,
             faulted_cells: 0,
             drifted_cells: 0,
-        })
+        };
+        layer.image = layer.signed_weight_image();
+        Ok(layer)
+    }
+
+    /// Builds the signed weight image from the current cells, or `None`
+    /// when the integer GEMM would not be exact (see
+    /// [`integer_matmul_path`](Self::integer_matmul_path)).
+    fn signed_weight_image(&self) -> Option<Vec<i32>> {
+        if !self
+            .adc
+            .is_lossless_over(self.crossbar_dim, self.crossbars[0].spec())
+        {
+            return None;
+        }
+        let shape = (self.row_index.len(), self.col_index.len());
+        let bias = self.bias as i64;
+        self.slicer
+            .integral_image(&self.crossbars, self.xb_cols, shape, |_, _, code| {
+                code as i64 - bias
+            })
+    }
+
+    /// Commits pending direct writes on every crossbar (see
+    /// [`Crossbar::commit_writes`]) and rebuilds the signed weight image,
+    /// returning the layer to the integer GEMM when its cells allow.
+    /// Call after writing cells through [`crossbars_mut`](Self::crossbars_mut).
+    pub fn commit_writes(&mut self) {
+        // Free the stale image first, so the rebuild can reuse its memory.
+        self.image = None;
+        for xbar in &mut self.crossbars {
+            if xbar.is_dirty() {
+                xbar.commit_writes();
+            }
+        }
+        self.image = self.signed_weight_image();
     }
 
     /// Applies a fault campaign to every crossbar of this layer (the same
     /// per-crossbar salting as the FORMS engine, so FORMS-vs-ISAAC fault
-    /// sweeps are apples-to-apples).
+    /// sweeps are apples-to-apples), then rebuilds the signed weight image
+    /// from the committed cells.
     pub fn inject_faults(&mut self, campaign: &FaultCampaign, salt: u64) -> FaultReport {
         let mut total = FaultReport::default();
         for (i, xbar) in self.crossbars.iter_mut().enumerate() {
@@ -211,6 +251,7 @@ impl IsaacLayer {
         }
         self.faulted_cells += total.stuck() as u64;
         self.drifted_cells += total.drifted as u64;
+        self.commit_writes();
         total
     }
 
@@ -246,7 +287,12 @@ impl IsaacLayer {
     }
 
     /// Mutable access to the crossbars (variation injection).
+    ///
+    /// Drops the signed weight image, so [`matmul_into`](Self::matmul_into)
+    /// takes the f64 window sweep until [`commit_writes`](Self::commit_writes)
+    /// rebuilds it.
     pub fn crossbars_mut(&mut self) -> &mut [Crossbar] {
+        self.image = None;
         &mut self.crossbars
     }
 
@@ -405,31 +451,31 @@ impl IsaacLayer {
         stats
     }
 
-    /// Whether the batched kernel may run its integer fast path — the
-    /// ISAAC mirror of `forms_arch::MappedLayer::integer_matmul_path`:
-    /// every mapped cell dequantizes to an exact integer code and the ADC
-    /// is lossless over a full block's current range.
+    /// Whether [`matmul_into`](Self::matmul_into) runs the exact integer
+    /// GEMM — the ISAAC mirror of
+    /// `forms_arch::MappedLayer::integer_matmul_path`: the signed weight
+    /// image is present, which holds while every cell is an exact integer
+    /// code (pristine and stuck-at arrays) and the ADC is lossless over a
+    /// full block. Offset encoding then computes exactly
+    /// `codes × (recombine(cells) − bias)`.
     pub fn integer_matmul_path(&self) -> bool {
-        let spec = self.crossbars[0].spec();
-        let max_window = self.crossbar_dim as u64 * u64::from(spec.max_code());
-        self.adc.full_scale() == f64::from(self.adc.levels() - 1)
-            && max_window as f64 <= self.adc.full_scale()
-            && self
-                .crossbars
-                .iter()
-                .all(|x| x.integral_dequant_codes().is_some())
+        self.image.is_some()
     }
 
-    /// The blocked weight-stationary batch kernel: executes
-    /// `scales.len()` offset-encoded matrix-vector products in one sweep,
-    /// bitwise identical to calling [`matvec_into`](Self::matvec_into)
-    /// once per sample (outputs *and* merged stats).
+    /// The batch kernel: executes `scales.len()` offset-encoded
+    /// matrix-vector products in one call, bitwise identical to calling
+    /// [`matvec_into`](Self::matvec_into) once per sample (outputs *and*
+    /// merged stats).
     ///
-    /// Samples are processed in tiles; per row block the weight window is
-    /// materialized once per tile and swept over every sample. Pristine
-    /// arrays take an integer fast path (ADC conversion is the identity),
-    /// drifted arrays fall back to an f64 path preserving the per-sample
-    /// ascending-row summation order.
+    /// Pristine and stuck-at arrays run one exact integer GEMM against the
+    /// cached signed weight image; `IsaacStats` are computed
+    /// arithmetically per (sample, row block): `input_bits` cycles, one
+    /// conversion per mapped cell column per cycle, and the block's input
+    /// `1`s (Σ popcount of its codes) as counted ones and offset
+    /// subtractions. Drifted or lossy arrays run the f64 window sweep: per
+    /// row block the dequantized window is built once per tile and swept
+    /// bit-serially over every sample, in the per-sample ascending-row
+    /// summation order and through the real ADC.
     ///
     /// # Panics
     ///
@@ -442,12 +488,6 @@ impl IsaacLayer {
         scratch: &mut IsaacScratch,
         outs: &mut [f32],
     ) -> IsaacStats {
-        let mut stats = IsaacStats::default();
-        if scales.is_empty() {
-            assert!(batch_codes.is_empty(), "codes without scales");
-            assert!(outs.is_empty(), "outputs without scales");
-            return stats;
-        }
         let nsamples = scales.len();
         assert_eq!(
             batch_codes.len(),
@@ -462,14 +502,77 @@ impl IsaacLayer {
         for sample in batch_codes.chunks_exact(self.orig_rows) {
             self.validate_input_codes(sample);
         }
+        let Some(image) = self.image.as_deref() else {
+            return self.matmul_window_sweep(batch_codes, scales, scratch, outs);
+        };
+        let mut stats = IsaacStats::default();
+        scratch.gemm_codes.clear();
+        for sample in batch_codes.chunks_exact(self.orig_rows) {
+            let start = scratch.gemm_codes.len();
+            scratch
+                .gemm_codes
+                .extend(self.row_index.iter().map(|&r| sample[r]));
+            for block in scratch.gemm_codes[start..].chunks(self.crossbar_dim) {
+                let ones = block.iter().map(|&c| u64::from(c.count_ones())).sum();
+                self.account_block(ones, &mut stats);
+            }
+        }
+        scratch.accs.clear();
+        scratch.accs.resize(nsamples * self.col_index.len(), 0);
+        igemm(
+            &scratch.gemm_codes,
+            image,
+            self.col_index.len(),
+            &mut scratch.accs,
+        );
+        self.write_outputs(&scratch.accs, scales, outs);
+        stats
+    }
+
+    /// Accounts one (sample, row block) activation with `ones` input `1`s
+    /// into `stats` exactly as the bit-serial path spends it.
+    fn account_block(&self, ones: u64, stats: &mut IsaacStats) {
+        let cell_cols = (self.col_index.len() * self.slicer.cells_per_weight()) as u64;
+        stats.cycles += u64::from(self.input_bits);
+        stats.row_blocks += 1;
+        stats.ones_counted += ones;
+        stats.offset_subtractions += ones;
+        stats.adc_conversions += u64::from(self.input_bits) * cell_cols;
+    }
+
+    /// Scales compact-column accumulators (`scales.len() × compact
+    /// columns`) into original-column outputs; pruned columns read 0.
+    fn write_outputs(&self, accs: &[i64], scales: &[f32], outs: &mut [f32]) {
+        let ncols = self.col_index.len();
+        for ((accs, &scale), out) in accs
+            .chunks_exact(ncols)
+            .zip(scales)
+            .zip(outs.chunks_exact_mut(self.orig_cols))
+        {
+            out.fill(0.0);
+            for (&acc, &c) in accs.iter().zip(&self.col_index) {
+                out[c] = acc as f32 * self.step * scale;
+            }
+        }
+    }
+
+    /// The f64 window sweep behind [`matmul_into`](Self::matmul_into) for
+    /// drifted or lossy arrays (inputs already validated).
+    fn matmul_window_sweep(
+        &self,
+        batch_codes: &[u32],
+        scales: &[f32],
+        scratch: &mut IsaacScratch,
+        outs: &mut [f32],
+    ) -> IsaacStats {
+        let nsamples = scales.len();
         let dim = self.crossbar_dim;
         let cpw = self.slicer.cells_per_weight();
         let cell_bits = self.slicer.cell_bits();
         let ncols = self.col_index.len();
         let cell_cols = ncols * cpw;
         let n_planes = self.input_bits as usize;
-        let fast = self.integer_matmul_path();
-        outs.fill(0.0);
+        let mut stats = IsaacStats::default();
 
         for tile_lo in (0..nsamples).step_by(MATMUL_TILE) {
             let tile = tile_lo..(tile_lo + MATMUL_TILE).min(nsamples);
@@ -486,8 +589,6 @@ impl IsaacLayer {
                     let codes = &batch_codes[s * self.orig_rows..(s + 1) * self.orig_rows];
                     scratch.tile_codes.extend(rows.iter().map(|&r| codes[r]));
                 }
-                stats.cycles += t as u64 * u64::from(self.input_bits);
-                stats.row_blocks += t as u64;
                 let words = pack_tile_bit_planes(
                     &scratch.tile_codes,
                     t,
@@ -495,148 +596,78 @@ impl IsaacLayer {
                     &mut scratch.tile_planes,
                 );
                 let stride = n_planes * words;
-
-                if fast {
-                    let IsaacScratch {
-                        tile_planes,
-                        icell,
-                        icurr,
-                        cell_acc,
-                        accs,
-                        ..
-                    } = scratch;
-                    // Integer window, once per (block, tile).
-                    icell.clear();
-                    icell.resize(block_rows * cell_cols, 0);
-                    for r in 0..block_rows {
-                        let row = &mut icell[r * cell_cols..(r + 1) * cell_cols];
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[block * self.xb_cols + xc]
-                                .integral_row_into(r, &mut row[col_lo..col_hi]);
+                let IsaacScratch {
+                    tile_planes,
+                    cell_vals,
+                    currents,
+                    slice_acc,
+                    accs,
+                    ..
+                } = scratch;
+                // f64 window, once per (block, tile).
+                cell_vals.clear();
+                cell_vals.resize(block_rows * cell_cols, 0.0);
+                for r in 0..block_rows {
+                    let row = &mut cell_vals[r * cell_cols..(r + 1) * cell_cols];
+                    for xc in 0..self.xb_cols {
+                        let col_lo = xc * dim;
+                        if col_lo >= cell_cols {
+                            break;
                         }
+                        let col_hi = (col_lo + dim).min(cell_cols);
+                        self.crossbars[block * self.xb_cols + xc]
+                            .dequant_row_into(r, &mut row[col_lo..col_hi]);
                     }
-                    for si in 0..t {
-                        cell_acc.clear();
-                        cell_acc.resize(cell_cols, 0);
-                        let planes = &tile_planes[si * stride..(si + 1) * stride];
-                        let mut offset = 0u64;
-                        for (plane, mask) in planes.chunks_exact(words).enumerate() {
-                            let ones = plane_ones(mask);
-                            stats.ones_counted += ones;
-                            stats.offset_subtractions += ones;
-                            offset += (self.bias * ones) << plane;
-                            if plane_is_zero(mask) {
-                                continue;
-                            }
-                            icurr.clear();
-                            icurr.resize(cell_cols, 0);
-                            for_each_set_bit(mask, |i| {
-                                if i < block_rows {
-                                    let row = &icell[i * cell_cols..(i + 1) * cell_cols];
-                                    for (acc, &v) in icurr.iter_mut().zip(row) {
-                                        *acc += u32::from(v);
-                                    }
-                                }
-                            });
-                            for (acc, &c) in cell_acc.iter_mut().zip(icurr.iter()) {
-                                *acc += u64::from(c) << plane;
-                            }
-                        }
-                        // Lossless conversion is the identity; conversions
-                        // are counted arithmetically (every column converts
-                        // every slice each bit plane).
-                        stats.adc_conversions += n_planes as u64 * cell_cols as u64;
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            let mut encoded_total = 0u64;
-                            for &s in &cell_acc[ci * cpw..(ci + 1) * cpw] {
-                                encoded_total = (encoded_total << cell_bits) + s;
-                            }
-                            *acc += encoded_total as i64 - offset as i64;
-                        }
-                    }
-                } else {
-                    let IsaacScratch {
-                        tile_planes,
-                        cell_vals,
-                        currents,
-                        slice_acc,
-                        accs,
-                        ..
-                    } = scratch;
-                    // f64 window, once per (block, tile).
-                    cell_vals.clear();
-                    cell_vals.resize(block_rows * cell_cols, 0.0);
-                    for r in 0..block_rows {
-                        let row = &mut cell_vals[r * cell_cols..(r + 1) * cell_cols];
-                        for xc in 0..self.xb_cols {
-                            let col_lo = xc * dim;
-                            if col_lo >= cell_cols {
-                                break;
-                            }
-                            let col_hi = (col_lo + dim).min(cell_cols);
-                            self.crossbars[block * self.xb_cols + xc]
-                                .dequant_row_into(r, &mut row[col_lo..col_hi]);
-                        }
-                    }
-                    for si in 0..t {
-                        let planes = &tile_planes[si * stride..(si + 1) * stride];
-                        let mut offset = 0u64;
-                        currents.clear();
-                        currents.resize(n_planes * cell_cols, 0.0);
-                        for (plane, mask) in planes.chunks_exact(words).enumerate() {
-                            let ones = plane_ones(mask);
-                            stats.ones_counted += ones;
-                            stats.offset_subtractions += ones;
-                            offset += (self.bias * ones) << plane;
-                            // Active rows accumulate in ascending order,
-                            // matching the per-sample summation order
-                            // bitwise.
-                            let row = &mut currents[plane * cell_cols..(plane + 1) * cell_cols];
-                            for_each_set_bit(mask, |i| {
-                                if i < block_rows {
-                                    let vals = &cell_vals[i * cell_cols..(i + 1) * cell_cols];
-                                    for (acc, &v) in row.iter_mut().zip(vals) {
-                                        *acc += v;
-                                    }
-                                }
-                            });
-                        }
-                        let sample_accs = &mut accs[si * ncols..][..ncols];
-                        for (ci, acc) in sample_accs.iter_mut().enumerate() {
-                            slice_acc.clear();
-                            slice_acc.resize(cpw, 0);
-                            for plane in 0..n_planes {
-                                let cur = &currents[plane * cell_cols..];
-                                for (k, acc_k) in slice_acc.iter_mut().enumerate() {
-                                    let code = self
-                                        .adc
-                                        .convert(cur[ci * cpw + k], self.crossbars[0].spec());
-                                    stats.adc_conversions += 1;
-                                    *acc_k += u64::from(code) << plane;
+                }
+                for si in 0..t {
+                    let planes = &tile_planes[si * stride..(si + 1) * stride];
+                    let mut offset = 0u64;
+                    let mut block_ones = 0u64;
+                    currents.clear();
+                    currents.resize(n_planes * cell_cols, 0.0);
+                    for (plane, mask) in planes.chunks_exact(words).enumerate() {
+                        let ones = plane_ones(mask);
+                        block_ones += ones;
+                        offset += (self.bias * ones) << plane;
+                        // Active rows accumulate in ascending order,
+                        // matching the per-sample summation order bitwise.
+                        let row = &mut currents[plane * cell_cols..(plane + 1) * cell_cols];
+                        for_each_set_bit(mask, |i| {
+                            if i < block_rows {
+                                let vals = &cell_vals[i * cell_cols..(i + 1) * cell_cols];
+                                for (acc, &v) in row.iter_mut().zip(vals) {
+                                    *acc += v;
                                 }
                             }
-                            let mut encoded_total = 0u64;
-                            for &s in slice_acc.iter() {
-                                encoded_total = (encoded_total << cell_bits) + s;
+                        });
+                    }
+                    self.account_block(block_ones, &mut stats);
+                    let sample_accs = &mut accs[si * ncols..][..ncols];
+                    for (ci, acc) in sample_accs.iter_mut().enumerate() {
+                        slice_acc.clear();
+                        slice_acc.resize(cpw, 0);
+                        for plane in 0..n_planes {
+                            let cur = &currents[plane * cell_cols..];
+                            for (k, acc_k) in slice_acc.iter_mut().enumerate() {
+                                let code = self
+                                    .adc
+                                    .convert(cur[ci * cpw + k], self.crossbars[0].spec());
+                                *acc_k += u64::from(code) << plane;
                             }
-                            *acc += encoded_total as i64 - offset as i64;
                         }
+                        let mut encoded_total = 0u64;
+                        for &s in slice_acc.iter() {
+                            encoded_total = (encoded_total << cell_bits) + s;
+                        }
+                        *acc += encoded_total as i64 - offset as i64;
                     }
                 }
             }
-
-            for (si, s) in tile.enumerate() {
-                let out = &mut outs[s * self.orig_cols..][..self.orig_cols];
-                for (ci, &c) in self.col_index.iter().enumerate() {
-                    out[c] = scratch.accs[si * ncols + ci] as f32 * self.step * scales[s];
-                }
-            }
+            self.write_outputs(
+                &scratch.accs,
+                &scales[tile.clone()],
+                &mut outs[tile.start * self.orig_cols..tile.end * self.orig_cols],
+            );
         }
         stats
     }

@@ -6,7 +6,7 @@
 //! weight"), most-significant slice first. Column results are recombined by
 //! the shift-&-add units with weights `2^(cell_bits·k)`.
 
-use crate::CellSpec;
+use crate::{CellSpec, Crossbar};
 
 /// Splits weight magnitudes into per-cell codes and recombines sliced
 /// column results.
@@ -91,6 +91,60 @@ impl BitSlicer {
             .fold(0u64, |acc, &r| (acc << self.cell_bits) + r)
     }
 
+    /// Reads a `rows × cols` weight matrix back off the row-major grid of
+    /// crossbars it was sliced onto (`xb_cols` crossbars per grid row) as
+    /// one row-major integer image — the weight-stationary operand of the
+    /// mappings' integer GEMM.
+    ///
+    /// Weight `(r, c)` sits where both mappings put it: on array row `r`
+    /// of the grid, slices on cell columns `c × cells_per_weight + k`,
+    /// most-significant first. `entry(r, c, code)` turns the recombined
+    /// cell code into the stored value (a fragment sign, an offset).
+    /// Returns `None` when any crossbar is not integral (see
+    /// [`Crossbar::integral_dequant_codes`]) or an entry does not fit
+    /// `i32`; the caller then keeps its f64 path. O(mapped cells).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grid is empty or too small for the matrix, or writes
+    /// are pending a [`Crossbar::commit_writes`].
+    pub fn integral_image(
+        &self,
+        grid: &[Crossbar],
+        xb_cols: usize,
+        (rows, cols): (usize, usize),
+        mut entry: impl FnMut(usize, usize, u64) -> i64,
+    ) -> Option<Vec<i32>> {
+        let tables: Vec<&[u16]> = grid
+            .iter()
+            .map(Crossbar::integral_dequant_codes)
+            .collect::<Option<_>>()?;
+        let (dim_r, dim_c) = (grid[0].rows(), grid[0].cols());
+        let cpw = self.cells_per_weight();
+        assert!(
+            xb_cols * dim_c >= cols * cpw,
+            "grid too narrow for the matrix"
+        );
+        let mut image = Vec::with_capacity(rows * cols);
+        let mut cells = Vec::with_capacity(xb_cols * dim_c);
+        for r in 0..rows {
+            // Array row `r` of the grid, cell columns in order across the
+            // grid row's crossbars.
+            let (xr, row) = (r / dim_r, r % dim_r);
+            cells.clear();
+            for table in &tables[xr * xb_cols..(xr + 1) * xb_cols] {
+                cells.extend_from_slice(&table[row * dim_c..(row + 1) * dim_c]);
+            }
+            for (c, slices) in cells.chunks_exact(cpw).take(cols).enumerate() {
+                let code = slices.iter().fold(0u64, |code, &cell| {
+                    (code << self.cell_bits) + u64::from(cell)
+                });
+                image.push(i32::try_from(entry(r, c, code)).ok()?);
+            }
+        }
+        Some(image)
+    }
+
     /// Checks that a slice vector is consistent with the cell spec.
     pub fn fits(&self, spec: &CellSpec) -> bool {
         self.cell_bits == spec.bits()
@@ -111,6 +165,23 @@ mod tests {
     #[test]
     fn paper_example_16bit_on_2bit_cells() {
         assert_eq!(BitSlicer::new(16, 2).cells_per_weight(), 8);
+    }
+
+    #[test]
+    fn integral_image_reads_weights_across_grid_columns() {
+        // 4-bit weights on 2-bit cells over a 1×2 grid of 2×2 arrays:
+        // weight column c occupies cell columns 2c, 2c+1, so column 1
+        // lives entirely on the second array.
+        let s = BitSlicer::new(4, 2);
+        let spec = CellSpec::paper_2bit();
+        let mut grid = vec![Crossbar::new(2, 2, spec); 2];
+        grid[0].program_codes(&[3, 1, 1, 3]); // 13, 7
+        grid[1].program_codes(&[0, 2, 3, 3]); // 2, 15
+        let image = s.integral_image(&grid, 2, (2, 2), |_, _, code| code as i64 - 8);
+        assert_eq!(image, Some(vec![5, -6, -1, 7]));
+        grid[1].conductances_mut()[1] *= 1.01;
+        grid[1].commit_writes();
+        assert_eq!(s.integral_image(&grid, 2, (2, 2), |_, _, c| c as i64), None);
     }
 
     #[test]

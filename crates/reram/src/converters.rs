@@ -86,6 +86,16 @@ impl Adc {
         Self::for_fragment(fragment_rows, spec)
     }
 
+    /// Whether conversion is the identity on every current a `rows`-row
+    /// window of integer-coded `spec` cells can produce: full scale sits
+    /// on the top code (one level per code unit) and covers
+    /// `rows × max_code`. A crossbar behind such an ADC computes exactly
+    /// `input codes × cell codes`.
+    pub fn is_lossless_over(&self, rows: usize, spec: &CellSpec) -> bool {
+        let max_window = rows as u64 * u64::from(spec.max_code());
+        self.full_scale == f64::from(self.levels() - 1) && max_window as f64 <= self.full_scale
+    }
+
     /// Resolution in bits.
     pub fn bits(&self) -> u32 {
         self.bits

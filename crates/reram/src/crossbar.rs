@@ -123,9 +123,8 @@ pub struct Crossbar {
     /// read paths compute on the fly.
     dequant: Vec<f64>,
     /// Integer image of `dequant`, valid only while `integral` holds: the
-    /// batched MVM kernels accumulate these as machine integers instead of
-    /// f64, which is exact (and therefore bitwise identical) because every
-    /// partial sum is an integer well below 2^53.
+    /// mappings recombine these into the signed weight image their integer
+    /// GEMM runs on (see `BitSlicer::integral_image`).
     dequant_codes: Vec<u16>,
     /// Whether every dequantized cell value is *exactly* an in-range
     /// integer (`0 ..= max_code`). True for any array programmed through
@@ -444,27 +443,6 @@ impl Crossbar {
         self.integral.then_some(self.dequant_codes.as_slice())
     }
 
-    /// Copies the integer dequantized codes of one row's leading
-    /// `out.len()` columns into `out` — the u16 mirror of
-    /// [`dequant_row_into`](Self::dequant_row_into) for integral arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the array is not integral (see
-    /// [`integral_dequant_codes`](Self::integral_dequant_codes)), the row
-    /// is out of bounds, `out.len()` exceeds the column count, or writes
-    /// are pending a [`commit_writes`](Self::commit_writes).
-    pub fn integral_row_into(&self, row: usize, out: &mut [u16]) {
-        assert!(row < self.rows, "row out of bounds");
-        assert!(out.len() <= self.cols, "output wider than the crossbar");
-        assert!(
-            !self.dirty,
-            "stale packed read: commit_writes() after conductances_mut()"
-        );
-        assert!(self.integral, "integral read from a non-integral array");
-        out.copy_from_slice(&self.dequant_codes[row * self.cols..row * self.cols + out.len()]);
-    }
-
     /// Current of a single column over a row window, in code units — the
     /// per-fragment read the FORMS mapping performs.
     ///
@@ -712,9 +690,6 @@ mod tests {
         for (i, &c) in codes.iter().enumerate() {
             assert_eq!(f64::from(c), xb.dequant[i]);
         }
-        let mut row = [0u16; 3];
-        xb.integral_row_into(1, &mut row);
-        assert_eq!(row, [0, 1, 3]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use faults::{FaultCampaign, FaultReport};
 pub use irdrop::IrDropModel;
 pub use noise::CurrentNoise;
 pub use packing::{
-    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_is_zero, plane_ones, plane_words,
+    for_each_set_bit, pack_bit_planes, pack_tile_bit_planes, plane_ones, plane_words,
 };
 pub use programming::{program_physical, ArrayProgrammer, ProgrammingReport};
 pub use variation::{LogNormalVariation, StuckAtFault, StuckAtKind};

@@ -52,9 +52,10 @@ pub fn pack_bit_planes(codes: &[u32], planes: u32, out: &mut Vec<u64>) -> usize 
 /// identical to what [`pack_bit_planes`] produces for that sample alone.
 /// Returns the words per plane.
 ///
-/// This is the batched kernels' front end: one tile of B vectors is packed
-/// once, then every weight fragment/dequant window is swept once per tile
-/// instead of once per sample.
+/// This is the front end of the batched f64 window sweep (drifted or lossy
+/// arrays): one tile of B vectors is packed once, then every weight
+/// fragment/dequant window is swept once per tile instead of once per
+/// sample.
 ///
 /// # Panics
 ///
@@ -98,13 +99,6 @@ pub fn pack_tile_bit_planes(
         }
     }
     words
-}
-
-/// Whether one packed plane drives no input at all — the batched kernels
-/// skip such planes outright (their column currents are identically zero).
-#[inline]
-pub fn plane_is_zero(mask: &[u64]) -> bool {
-    mask.iter().all(|&w| w == 0)
 }
 
 /// Visits the set-bit indices of one packed plane in ascending order.
@@ -194,8 +188,6 @@ mod tests {
         pack_tile_bit_planes(&codes, 1, 3, &mut tile);
         pack_bit_planes(&codes, 3, &mut solo);
         assert_eq!(tile, solo);
-        assert!(plane_is_zero(&[0, 0]));
-        assert!(!plane_is_zero(&[0, 4]));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The FORMS paper trains DNNs in PyTorch; this crate is the from-scratch
 //! replacement for the tensor layer of that stack: shapes, dense `f32`
 //! tensors, the linear algebra needed by convolutional networks (matmul,
-//! im2col/col2im), weight initializers, and the fixed-point formats that the
+//! im2col/col2im), the exact integer GEMM the crossbar engines serve from, weight initializers, and the fixed-point formats that the
 //! accelerator front-end uses for activations and weights.
 //!
 //! # Example
@@ -23,6 +23,7 @@
 #![forbid(unsafe_code)]
 
 mod fixed;
+mod igemm;
 mod init;
 mod linalg;
 mod shape;
@@ -30,6 +31,7 @@ mod stats;
 mod tensor;
 
 pub use fixed::{FixedPoint, FixedSpec, QuantizedTensor};
+pub use igemm::igemm;
 pub use init::{kaiming_uniform, uniform, xavier_uniform};
 pub use linalg::{col2im, im2col, Conv2dGeometry};
 pub use shape::Shape;
