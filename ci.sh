@@ -36,6 +36,20 @@ case "$verdict" in
         exit 1 ;;
 esac
 
+echo "== end-to-end correctness smoke (formsbench mlp-small) =="
+# The same verdict check on mlp-small: one plain (non-resilient) replica
+# loop serving over a real socket, a path otherwise reached end to end
+# only by unit tests.
+verdict=$(cargo run --quiet --release --offline --manifest-path formsbench/Cargo.toml -- \
+    --workload mlp-small --seed 7 --seconds 3 --trace 0 | tail -n 1)
+case "$verdict" in
+    *'"correct": true,'*'"failed": 0,'*)
+        echo "ok: formsbench mlp-small served every output correctly" ;;
+    *)
+        echo "formsbench mlp-small is not correct: $verdict" >&2
+        exit 1 ;;
+esac
+
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --offline --all-targets -- -D warnings
 

@@ -20,13 +20,14 @@
 //! [`NetReply::outcome`] — only transport and protocol failures are
 //! [`ClientError`]s.
 
-use std::io::{BufReader, BufWriter};
+use std::collections::VecDeque;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use forms_serve::{json, TelemetrySnapshot};
 
-use crate::protocol::{read_frame, write_frame, Frame, WireError, WireStatus};
+use crate::protocol::{encode_request_into, read_frame, write_frame, Frame, WireError, WireStatus};
 
 /// Connection and retry policy for a [`NetClient`].
 #[derive(Clone, Copy, Debug)]
@@ -129,7 +130,7 @@ pub struct NetClient {
     writer: BufWriter<TcpStream>,
     next_id: u64,
     /// Ids of requests sent but not yet received, oldest first.
-    in_flight: Vec<u64>,
+    in_flight: VecDeque<u64>,
     scratch: Vec<u8>,
 }
 
@@ -150,7 +151,7 @@ impl NetClient {
             reader,
             writer,
             next_id: 1,
-            in_flight: Vec::new(),
+            in_flight: VecDeque::new(),
             scratch: Vec::new(),
         })
     }
@@ -210,14 +211,8 @@ impl NetClient {
     pub fn send(&mut self, input: &[f32], deadline: Option<Duration>) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = Frame::Request {
-            id,
-            deadline_us: deadline.map_or(0, deadline_to_us),
-            input: input.to_vec(),
-        };
-        write_frame(&mut self.writer, &frame, &mut self.scratch)
-            .map_err(|e| ClientError::Io(e.kind()))?;
-        self.in_flight.push(id);
+        send_request(&mut self.writer, &mut self.scratch, id, input, deadline)?;
+        self.in_flight.push_back(id);
         Ok(id)
     }
 
@@ -235,7 +230,7 @@ impl NetClient {
         assert!(!self.in_flight.is_empty(), "no request in flight");
         let expected = self.in_flight[0];
         let reply = recv_reply(&mut self.reader, expected)?;
-        self.in_flight.remove(0);
+        self.in_flight.pop_front();
         Ok(reply)
     }
 
@@ -333,13 +328,7 @@ impl NetSender {
     pub fn send(&mut self, input: &[f32], deadline: Option<Duration>) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = Frame::Request {
-            id,
-            deadline_us: deadline.map_or(0, deadline_to_us),
-            input: input.to_vec(),
-        };
-        write_frame(&mut self.writer, &frame, &mut self.scratch)
-            .map_err(|e| ClientError::Io(e.kind()))?;
+        send_request(&mut self.writer, &mut self.scratch, id, input, deadline)?;
         Ok(id)
     }
 
@@ -403,6 +392,22 @@ fn split_stream(
         .map_err(|e| ClientError::Io(e.kind()))?;
     let read_half = stream.try_clone().map_err(|e| ClientError::Io(e.kind()))?;
     Ok((BufReader::new(read_half), BufWriter::new(stream)))
+}
+
+/// Encodes one request frame through `scratch` and writes it out, flushed.
+fn send_request(
+    writer: &mut BufWriter<TcpStream>,
+    scratch: &mut Vec<u8>,
+    id: u64,
+    input: &[f32],
+    deadline: Option<Duration>,
+) -> Result<(), ClientError> {
+    scratch.clear();
+    encode_request_into(id, deadline.map_or(0, deadline_to_us), input, scratch);
+    writer
+        .write_all(scratch)
+        .and_then(|()| writer.flush())
+        .map_err(|e| ClientError::Io(e.kind()))
 }
 
 /// Reads one client-bound frame, mapping timeouts and EOF to their typed

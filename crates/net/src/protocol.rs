@@ -220,53 +220,36 @@ impl Frame {
 
     /// Appends the encoded frame to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let (id, meta) = match self {
-            Frame::Request {
-                id, deadline_us, ..
-            } => (*id, *deadline_us),
-            Frame::Response { id, latency_us, .. } => (*id, *latency_us),
-            Frame::Error { id, .. } | Frame::Telemetry { id, .. } => (*id, 0),
-            Frame::TelemetryRequest { id } => (*id, 0),
-        };
-        let payload_len = match self {
-            Frame::Request { input, .. } => input.len() * 4,
-            Frame::Response { output, .. } => output.len() * 4,
-            Frame::Error { .. } => 12,
-            Frame::TelemetryRequest { .. } => 0,
-            Frame::Telemetry { json, .. } => json.len(),
-        };
-        out.reserve(HEADER_LEN + payload_len);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.kind() as u8);
-        out.extend_from_slice(&0u16.to_le_bytes());
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&meta.to_le_bytes());
-        out.extend_from_slice(&(payload_len as u32).to_le_bytes());
         match self {
-            Frame::Request { input, .. } => {
-                for v in input {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Frame::Response { output, .. } => {
-                for v in output {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
+            Frame::Request {
+                id,
+                deadline_us,
+                input,
+            } => encode_request_into(*id, *deadline_us, input, out),
+            Frame::Response {
+                id,
+                latency_us,
+                output,
+            } => encode_floats_into(FrameKind::Response, *id, *latency_us, output, out),
             Frame::Error {
+                id,
                 status,
                 expected,
                 got,
-                ..
             } => {
+                encode_header_into(FrameKind::Error, *id, 0, 12, out);
                 out.push(*status as u8);
                 out.extend_from_slice(&[0u8; 3]);
                 out.extend_from_slice(&expected.to_le_bytes());
                 out.extend_from_slice(&got.to_le_bytes());
             }
-            Frame::TelemetryRequest { .. } => {}
-            Frame::Telemetry { json, .. } => out.extend_from_slice(json.as_bytes()),
+            Frame::TelemetryRequest { id } => {
+                encode_header_into(FrameKind::TelemetryRequest, *id, 0, 0, out);
+            }
+            Frame::Telemetry { id, json } => {
+                encode_header_into(FrameKind::Telemetry, *id, 0, json.len(), out);
+                out.extend_from_slice(json.as_bytes());
+            }
         }
     }
 
@@ -276,6 +259,33 @@ impl Frame {
         self.encode_into(&mut out);
         out
     }
+}
+
+/// Appends the bytes of `Frame::Request { id, deadline_us, input }` to
+/// `out` without first copying `input` into an owned frame — the form a
+/// client sends from a borrowed sample.
+pub fn encode_request_into(id: u64, deadline_us: u64, input: &[f32], out: &mut Vec<u8>) {
+    encode_floats_into(FrameKind::Request, id, deadline_us, input, out);
+}
+
+/// Appends a header plus an f32 little-endian tensor payload.
+fn encode_floats_into(kind: FrameKind, id: u64, meta: u64, values: &[f32], out: &mut Vec<u8>) {
+    encode_header_into(kind, id, meta, values.len() * 4, out);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Appends the fixed header, reserving room for the payload behind it.
+fn encode_header_into(kind: FrameKind, id: u64, meta: u64, payload_len: usize, out: &mut Vec<u8>) {
+    out.reserve(HEADER_LEN + payload_len);
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(kind as u8);
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&id.to_le_bytes());
+    out.extend_from_slice(&meta.to_le_bytes());
+    out.extend_from_slice(&(payload_len as u32).to_le_bytes());
 }
 
 /// Why a byte sequence is not a frame (or could not be read).

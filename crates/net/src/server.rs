@@ -19,6 +19,14 @@
 //! fills, and the client's `write` stalls — backpressure all the way to
 //! the sender without unbounded buffering anywhere.
 //!
+//! Both halves batch their syscalls. The reader decodes through a
+//! `BufReader`, so a burst of pipelined requests costs one `read`, not
+//! two per frame (header, then payload). The writer encodes replies into
+//! a `BufWriter` and flushes only right before it would block — on an
+//! empty channel or on a ticket that has not resolved — and once on exit:
+//! a batch's replies leave in one `write`, and a resolved reply is never
+//! held back behind an unresolved one.
+//!
 //! Rejections are *statuses, not disconnects*: a shed, expired, or
 //! degraded request comes back as an Error frame with a typed
 //! [`WireStatus`] on the same live
@@ -32,7 +40,7 @@
 //! response written before the connection closes, so a request that made
 //! it into the queue always gets a frame back.
 
-use std::io::BufWriter;
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -45,9 +53,7 @@ use forms_serve::{
     TelemetrySnapshot, Ticket,
 };
 
-use crate::protocol::{
-    latency_to_us, read_frame, status_of, write_frame, Frame, WireError, WireStatus,
-};
+use crate::protocol::{latency_to_us, read_frame, status_of, Frame, WireError, WireStatus};
 
 /// Front-end sizing and timeout policy. Purely transport-level: the
 /// wrapped serving core is sized by its own [`ServeConfig`], passed
@@ -485,13 +491,16 @@ fn handle_connection(
 /// Decodes frames and feeds the writer until EOF, shutdown, idle timeout,
 /// a protocol violation, or writer death.
 fn read_loop(
-    mut stream: TcpStream,
+    stream: TcpStream,
     tx: mpsc::SyncSender<ConnItem>,
     service: &ServiceHandle,
     config: &NetConfig,
     shutdown: &AtomicBool,
     dead: &AtomicBool,
 ) {
+    // One `read` serves a whole burst of pipelined frames. `read_frame`
+    // keeps its timeout, EOF and truncation semantics over the buffer.
+    let mut stream = BufReader::new(stream);
     let mut last_frame = Instant::now();
     loop {
         if dead.load(Ordering::Acquire) {
@@ -550,7 +559,9 @@ fn read_loop(
     }
 }
 
-/// Resolves work items in request order and writes one frame per item.
+/// Resolves work items in request order and writes one frame per item,
+/// flushing only right before it would block and once on exit (see the
+/// module docs).
 fn write_loop(
     stream: TcpStream,
     rx: mpsc::Receiver<ConnItem>,
@@ -559,33 +570,63 @@ fn write_loop(
 ) {
     let mut writer = BufWriter::new(stream);
     let mut scratch = Vec::new();
-    for item in &rx {
+    let written = write_items(&mut writer, &rx, service, &mut scratch);
+    if written.and_then(|()| writer.flush()).is_err() {
+        dead.store(true, Ordering::Release);
+        // Keep draining until the reader hangs up, so it never blocks on a
+        // full channel, waiting each ticket so its request runs to
+        // completion before the connection closes.
+        for item in rx.iter() {
+            if let ConnItem::Ticket { ticket, .. } = item {
+                let _ = ticket.wait();
+            }
+        }
+    }
+}
+
+/// The body of [`write_loop`]: runs until the reader hangs up (`Ok`) or a
+/// write fails (`Err`). Flushing is the caller's job on exit.
+fn write_items(
+    writer: &mut BufWriter<TcpStream>,
+    rx: &mpsc::Receiver<ConnItem>,
+    service: &ServiceHandle,
+    scratch: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    loop {
+        let item = match rx.try_recv() {
+            Ok(item) => item,
+            Err(mpsc::TryRecvError::Empty) => {
+                writer.flush()?;
+                match rx.recv() {
+                    Ok(item) => item,
+                    Err(mpsc::RecvError) => return Ok(()),
+                }
+            }
+            Err(mpsc::TryRecvError::Disconnected) => return Ok(()),
+        };
         let frame = match item {
-            ConnItem::Ticket { id, ticket } => match ticket.wait() {
-                Ok(response) => Frame::Response {
-                    id,
-                    latency_us: latency_to_us(response.latency),
-                    output: response.output,
-                },
-                Err(err) => error_frame(id, err),
-            },
+            ConnItem::Ticket { id, ticket } => {
+                if !ticket.is_done() {
+                    writer.flush()?;
+                }
+                match ticket.wait() {
+                    Ok(response) => Frame::Response {
+                        id,
+                        latency_us: latency_to_us(response.latency),
+                        output: response.output,
+                    },
+                    Err(err) => error_frame(id, err),
+                }
+            }
             ConnItem::Reject { id, err } => error_frame(id, err),
             ConnItem::Telemetry { id } => Frame::Telemetry {
                 id,
                 json: service.telemetry().to_json().pretty(),
             },
         };
-        if write_frame(&mut writer, &frame, &mut scratch).is_err() {
-            dead.store(true, Ordering::Release);
-            // Keep draining: every remaining ticket must still be waited
-            // so its slot resolves, even though the peer is gone.
-            for item in rx.iter() {
-                if let ConnItem::Ticket { ticket, .. } = item {
-                    let _ = ticket.wait();
-                }
-            }
-            return;
-        }
+        scratch.clear();
+        frame.encode_into(scratch);
+        writer.write_all(scratch)?;
     }
 }
 

@@ -3,13 +3,14 @@
 //! Every test binds an ephemeral port on 127.0.0.1, so the suite runs
 //! hermetically and in parallel.
 
+use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use forms_arch::{MappedLayer, MappingConfig};
 use forms_dnn::{Layer, Network, WeightLayerMut};
 use forms_exec::{Executor, FaultCampaign};
-use forms_net::protocol::{read_frame, write_frame, Frame};
+use forms_net::protocol::{encode_request_into, read_frame, write_frame, Frame, HEADER_LEN};
 use forms_net::{serve_net, serve_net_resilient, ClientConfig, NetClient, NetConfig, WireStatus};
 use forms_rng::StdRng;
 use forms_serve::{HealthPolicy, PacedConfig, PacedEngine, ResilientConfig, ServeConfig};
@@ -370,6 +371,115 @@ fn malformed_bytes_drop_the_connection_but_not_the_server() {
     })
     .unwrap();
     assert_eq!(telemetry.completed, 1);
+}
+
+/// The writer flushes before it blocks on an unresolved ticket, so a reply
+/// that is ready never waits behind the next request's execution.
+#[test]
+fn no_hostage_reply() {
+    let pace = Duration::from_millis(200);
+    let exec = paced_executor(pace);
+    let serve = ServeConfig {
+        replicas: 1,
+        max_batch: 1,
+        ..ServeConfig::default()
+    };
+    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &NetConfig::default(), |net| {
+        let addr = net.addr();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+                let start = Instant::now();
+                client.send(&sample(1.0), None).unwrap();
+                client.send(&sample(0.5), None).unwrap();
+                assert!(client.recv().unwrap().is_ok());
+                let first = start.elapsed();
+                assert!(client.recv().unwrap().is_ok());
+                let second = start.elapsed();
+                // One replica at batch 1 runs the two back to back, so the
+                // second finishes no earlier than two paces in.
+                assert!(second >= 2 * pace, "second reply after {second:?}");
+                assert!(
+                    first < pace * 3 / 2,
+                    "first reply held until {first:?}, behind the second request"
+                );
+            });
+        });
+    })
+    .unwrap();
+    assert_eq!(telemetry.completed, 2);
+}
+
+/// Sixteen request frames in one `write` are framed apart by the buffered
+/// reader and answered in order, bitwise equal to the per-sample path.
+#[test]
+fn burst_of_frames_in_one_write_is_answered_in_order() {
+    let exec = executor();
+    let inputs: Vec<Vec<f32>> = (0..16).map(|i| sample(i as f32 / 16.0)).collect();
+    let expected: Vec<Vec<f32>> = inputs
+        .iter()
+        .map(|x| {
+            exec.clone()
+                .forward(&Tensor::from_vec(x.clone(), &[1, ROWS]))
+                .into_vec()
+        })
+        .collect();
+    let (serve, net_cfg) = (ServeConfig::default(), NetConfig::default());
+    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &net_cfg, |net| {
+        let mut stream = TcpStream::connect(net.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut burst = Vec::new();
+        for (id, input) in inputs.iter().enumerate() {
+            encode_request_into(id as u64, 0, input, &mut burst);
+        }
+        stream.write_all(&burst).unwrap();
+        for (want, reference) in expected.iter().enumerate() {
+            match read_frame(&mut stream).unwrap() {
+                Some(Frame::Response { id, output, .. }) => {
+                    assert_eq!(id, want as u64);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&output), bits(reference), "reply {want}");
+                }
+                other => panic!("expected response {want}, got {other:?}"),
+            }
+        }
+    })
+    .unwrap();
+    assert_eq!(telemetry.completed, 16);
+}
+
+/// Garbage behind valid frames in the same `write`: the valid frames are
+/// answered, then the connection drops, and the server keeps serving.
+#[test]
+fn bad_frame_after_good_ones_answers_the_good_then_drops() {
+    let exec = executor();
+    let (serve, net_cfg) = (ServeConfig::default(), NetConfig::default());
+    let ((), telemetry) = serve_net(&exec, &[ROWS], &serve, &net_cfg, |net| {
+        let addr = net.addr();
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut bytes = Vec::new();
+        for id in 0..3 {
+            encode_request_into(id, 0, &sample(1.0), &mut bytes);
+        }
+        bytes.extend_from_slice(&[b'X'; HEADER_LEN]);
+        stream.write_all(&bytes).unwrap();
+        for want in 0..3 {
+            match read_frame(&mut stream).unwrap() {
+                Some(Frame::Response { id, .. }) => assert_eq!(id, want),
+                other => panic!("expected response {want}, got {other:?}"),
+            }
+        }
+        assert_eq!(read_frame(&mut stream).unwrap(), None, "server closed");
+        let mut client = NetClient::connect(addr, ClientConfig::default()).unwrap();
+        assert!(client.call(&sample(1.0), None).unwrap().is_ok());
+    })
+    .unwrap();
+    assert_eq!(telemetry.completed, 4);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! Deterministic (seeded `forms-rng`), so a failure is a permanent
 //! reproduction, not a flake.
 
-use forms_net::protocol::{decode, read_frame, HEADER_LEN, MAX_PAYLOAD};
+use forms_net::protocol::{decode, encode_request_into, read_frame, HEADER_LEN, MAX_PAYLOAD};
 use forms_net::{Frame, WireError, WireStatus};
 use forms_rng::{Rng, StdRng};
 
@@ -140,5 +140,28 @@ fn stream_reader_matches_slice_decoder_on_mutated_streams() {
                 assert_eq!(streamed.unwrap_err(), slice_err, "input {bytes:02x?}")
             }
         }
+    }
+}
+
+/// The borrowed-sample encoder the clients send with writes exactly the
+/// bytes of the owned `Frame::Request`, appending after what `out` holds.
+#[test]
+fn encode_request_into_matches_the_request_frame_encoding() {
+    let mut rng = StdRng::seed_from_u64(0xF0_22_B5);
+    for _ in 0..500 {
+        let (id, deadline_us): (u64, u64) = (rng.gen(), rng.gen());
+        let input: Vec<f32> = (0..rng.gen_range(0usize..64))
+            .map(|_| f32::from_bits(rng.gen()))
+            .collect();
+        let prefix: Vec<u8> = (0..rng.gen_range(0usize..8)).map(|_| rng.gen()).collect();
+        let mut out = prefix.clone();
+        encode_request_into(id, deadline_us, &input, &mut out);
+        let frame = Frame::Request {
+            id,
+            deadline_us,
+            input,
+        };
+        assert_eq!(out[..prefix.len()], prefix[..]);
+        assert_eq!(out[prefix.len()..], frame.encode()[..]);
     }
 }

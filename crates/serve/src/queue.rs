@@ -38,6 +38,8 @@ pub enum PushError<T> {
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked in (or returning from) a `not_empty` wait.
+    parked: usize,
 }
 
 /// A bounded multi-producer / multi-consumer FIFO queue.
@@ -60,6 +62,7 @@ impl<T> BoundedQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::with_capacity(capacity),
                 closed: false,
+                parked: 0,
             }),
             not_empty: Condvar::new(),
             capacity,
@@ -106,8 +109,11 @@ impl<T> BoundedQueue<T> {
             return Err(PushError::Full(item));
         }
         state.items.push_back(item);
+        let wake = state.parked > 0;
         drop(state);
-        self.not_empty.notify_one();
+        if wake {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -154,10 +160,12 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return false;
             }
+            state.parked += 1;
             state = self
                 .not_empty
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
+            state.parked -= 1;
         }
         Self::drain_queued(&mut state, max_batch, out);
         true
@@ -190,11 +198,13 @@ impl<T> BoundedQueue<T> {
             if now >= wait_until {
                 return PopWait::Idle;
             }
+            state.parked += 1;
             let (guard, _timeout) = self
                 .not_empty
                 .wait_timeout(state, wait_until - now)
                 .unwrap_or_else(|e| e.into_inner());
             state = guard;
+            state.parked -= 1;
         }
         Self::drain_queued(&mut state, max_batch, out);
         PopWait::Batch
@@ -432,6 +442,126 @@ mod tests {
                 all, expected,
                 "round {round}: every ticket resolved exactly once"
             );
+        }
+    }
+
+    /// Closes the queue when its thread unwinds, so a failed stall check
+    /// still releases consumers parked in `pop_batch` and the scope can
+    /// join (and report the failure) instead of hanging.
+    struct CloseOnPanic<'a, T>(&'a BoundedQueue<T>);
+
+    impl<T> Drop for CloseOnPanic<'_, T> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.close();
+            }
+        }
+    }
+
+    /// Parked-waiter accounting must never lose a wakeup. Seeded rounds
+    /// run 1–3 consumers that mix `pop_batch` with 1 ms `pop_batch_for`
+    /// waits against 2 producers that yield at random. Every pushed item
+    /// must be popped exactly once; a producer that finds the queue full
+    /// for seconds means the consumers slept through pushes. The queue is
+    /// closed only once every consumer is parked, and each must still exit.
+    #[test]
+    fn parked_consumers_never_miss_a_push_or_the_close() {
+        use forms_rng::{Rng, StdRng};
+        const PER_PRODUCER: usize = 300;
+        const STALL: Duration = Duration::from_secs(5);
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(0x51A7_0000 + seed);
+            let consumers = rng.gen_range(1usize..4);
+            let max_batch = rng.gen_range(1usize..5);
+            let q = BoundedQueue::new(rng.gen_range(1usize..6));
+            let popped = std::sync::Mutex::new(Vec::new());
+            let exited = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for c in 0..consumers {
+                    let (qref, pref, eref) = (&q, &popped, &exited);
+                    let mut crng = StdRng::seed_from_u64(seed * 8 + c as u64);
+                    scope.spawn(move || {
+                        let mut batch = Vec::new();
+                        let mut mine = Vec::new();
+                        loop {
+                            if crng.gen_bool(0.5) {
+                                if !qref.pop_batch(max_batch, &mut batch) {
+                                    break;
+                                }
+                            } else {
+                                let wait = Duration::from_millis(1);
+                                match qref.pop_batch_for(max_batch, wait, &mut batch) {
+                                    PopWait::Batch => {}
+                                    PopWait::Idle => continue,
+                                    PopWait::Closed => break,
+                                }
+                            }
+                            assert!(!batch.is_empty() && batch.len() <= max_batch);
+                            mine.append(&mut batch);
+                        }
+                        pref.lock().unwrap().append(&mut mine);
+                        eref.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                let producers: Vec<_> = (0..2)
+                    .map(|p| {
+                        let qref = &q;
+                        let mut prng = StdRng::seed_from_u64(seed * 8 + 4 + p as u64);
+                        scope.spawn(move || {
+                            let _guard = CloseOnPanic(qref);
+                            for i in 0..PER_PRODUCER {
+                                let mut item = p * PER_PRODUCER + i;
+                                let since = Instant::now();
+                                loop {
+                                    match qref.try_push(item) {
+                                        Ok(()) => break,
+                                        Err(PushError::Full(back)) => {
+                                            assert!(
+                                                since.elapsed() < STALL,
+                                                "seed {seed}: queue stayed full with \
+                                                 consumers asleep"
+                                            );
+                                            item = back;
+                                            std::thread::yield_now();
+                                        }
+                                        Err(PushError::Closed(_)) => {
+                                            panic!("seed {seed}: closed under a producer")
+                                        }
+                                    }
+                                }
+                                if prng.gen_bool(0.3) {
+                                    std::thread::yield_now();
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                let _guard = CloseOnPanic(&q);
+                for producer in producers {
+                    producer.join().unwrap();
+                }
+                // Close only when the queue is drained and every consumer
+                // sits in a condvar wait, so close must wake parked threads.
+                let since = Instant::now();
+                loop {
+                    let state = q.lock();
+                    if state.items.is_empty() && state.parked == consumers {
+                        break;
+                    }
+                    drop(state);
+                    assert!(
+                        since.elapsed() < STALL,
+                        "seed {seed}: consumers never all parked"
+                    );
+                    std::thread::yield_now();
+                }
+                assert!(q.close());
+            });
+            assert_eq!(exited.load(Ordering::SeqCst), consumers, "seed {seed}");
+            let mut all = popped.into_inner().unwrap();
+            all.sort_unstable();
+            let expected: Vec<usize> = (0..2 * PER_PRODUCER).collect();
+            assert_eq!(all, expected, "seed {seed}: every item popped exactly once");
         }
     }
 

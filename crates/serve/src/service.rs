@@ -25,6 +25,12 @@
 //! per-sample activation scales and per-sample sentinel checks — so batched
 //! results are bitwise identical to running each request alone.
 //!
+//! Hand-offs wake only parked threads: filling a response slot notifies
+//! its ticket only when [`Ticket::wait`] is blocked on it, just as the
+//! queue notifies only parked consumers. A `Condvar` notify is a `futex`
+//! syscall even with nobody waiting, and under load most fills land on
+//! tickets nobody waits on yet.
+//!
 //! Failure containment: the forward runs under `catch_unwind`, so a
 //! panicking engine fails its batch (every request gets
 //! [`ServeError::EngineFailed`]) and the replica rebuilds its session and
@@ -34,7 +40,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use forms_exec::{CrossbarEngine, Executor};
@@ -134,28 +140,46 @@ pub struct Response {
 
 /// One-shot response slot shared between a ticket and the replica that
 /// eventually executes (or rejects) the request.
+///
+/// [`fill`](Slot::fill) wakes the ticket only if it is parked in
+/// [`Ticket::wait`]: a notify is a `futex` syscall even with nobody
+/// waiting, and a pipelining writer usually finds its ticket already done.
 #[derive(Debug)]
 pub(crate) struct Slot {
-    state: Mutex<Option<Result<Response, ServeError>>>,
+    state: Mutex<SlotState>,
     done: Condvar,
     cancelled: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct SlotState {
+    result: Option<Result<Response, ServeError>>,
+    /// Set by [`Ticket::wait`] before it blocks on `done`.
+    parked: bool,
 }
 
 impl Slot {
     fn new() -> Arc<Self> {
         Arc::new(Self {
-            state: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             done: Condvar::new(),
             cancelled: AtomicBool::new(false),
         })
     }
 
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub(crate) fn fill(&self, result: Result<Response, ServeError>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(state.is_none(), "a slot is filled exactly once");
-        *state = Some(result);
+        let mut state = self.lock();
+        debug_assert!(state.result.is_none(), "a slot is filled exactly once");
+        state.result = Some(result);
+        let wake = state.parked;
         drop(state);
-        self.done.notify_all();
+        if wake {
+            self.done.notify_one();
+        }
     }
 }
 
@@ -176,11 +200,12 @@ impl Ticket {
     /// Returns the [`ServeError`] recorded for this request when it did
     /// not complete.
     pub fn wait(self) -> Result<Response, ServeError> {
-        let mut state = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.slot.lock();
         loop {
-            if let Some(result) = state.take() {
+            if let Some(result) = state.result.take() {
                 return result;
             }
+            state.parked = true;
             state = self
                 .slot
                 .done
@@ -191,11 +216,7 @@ impl Ticket {
 
     /// Whether the request has resolved (non-blocking).
     pub fn is_done(&self) -> bool {
-        self.slot
-            .state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
+        self.slot.lock().result.is_some()
     }
 
     /// Requests cancellation: if no replica has started executing this
@@ -565,5 +586,120 @@ pub(crate) fn filter_live(
         } else {
             live.push(pending);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// Bound on any single wait in these tests: a lost wakeup fails the
+    /// test instead of hanging it.
+    const HANG: Duration = Duration::from_secs(5);
+
+    fn response(tag: f32) -> Response {
+        Response {
+            output: vec![tag],
+            latency: Duration::ZERO,
+            queue_wait: Duration::ZERO,
+            stages: StageDurations::default(),
+            batch_size: 1,
+        }
+    }
+
+    fn ticket() -> (Ticket, Arc<Slot>) {
+        let slot = Slot::new();
+        (
+            Ticket {
+                slot: Arc::clone(&slot),
+            },
+            slot,
+        )
+    }
+
+    /// Waits `ticket` on its own thread and returns its outcome, failing
+    /// if it does not resolve within [`HANG`]. `on_parked` runs on the
+    /// calling thread once the waiter is parked in [`Ticket::wait`].
+    fn wait_bounded(ticket: Ticket, on_parked: impl FnOnce()) -> Result<Response, ServeError> {
+        let slot = Arc::clone(&ticket.slot);
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(ticket.wait());
+        });
+        // Force the interleaving: act only once the waiter is parked.
+        let since = Instant::now();
+        while !slot.lock().parked {
+            assert!(since.elapsed() < HANG, "the waiter never parked");
+            std::thread::yield_now();
+        }
+        on_parked();
+        let outcome = rx.recv_timeout(HANG).expect("a parked ticket must wake");
+        waiter.join().expect("the waiter does not panic");
+        outcome
+    }
+
+    #[test]
+    fn fill_before_wait_returns_without_parking() {
+        let (ticket, slot) = ticket();
+        assert!(!ticket.is_done());
+        slot.fill(Ok(response(1.0)));
+        assert!(ticket.is_done());
+        assert!(!slot.lock().parked, "nobody waited, so nobody is woken");
+        assert_eq!(ticket.wait(), Ok(response(1.0)));
+        assert!(slot.lock().result.is_none(), "the outcome is taken once");
+    }
+
+    #[test]
+    fn fill_wakes_a_ticket_parked_on_another_thread() {
+        let (ticket, slot) = ticket();
+        assert!(!ticket.is_done());
+        let outcome = wait_bounded(ticket, || slot.fill(Err(ServeError::Degraded)));
+        assert_eq!(outcome, Err(ServeError::Degraded));
+        assert!(slot.lock().result.is_none(), "the outcome is taken once");
+    }
+
+    #[test]
+    fn is_done_flips_only_on_fill() {
+        let (ticket, slot) = ticket();
+        assert!(!ticket.is_done());
+        assert!(!ticket.is_done(), "polling does not resolve");
+        slot.fill(Err(ServeError::EngineFailed));
+        assert!(ticket.is_done());
+        assert!(ticket.is_done(), "polling does not consume");
+        assert_eq!(ticket.wait(), Err(ServeError::EngineFailed));
+    }
+
+    /// A cancel that arrives after batch formation admitted the request
+    /// loses the race: the executed result is delivered, not `Cancelled`.
+    /// A cancel that arrives first wins and the request never runs.
+    #[test]
+    fn cancel_resolves_once_whichever_side_wins_the_race() {
+        let telemetry = Telemetry::new(String::new(), 0, &TraceConfig::default());
+        let pending = |slot: &Arc<Slot>| Pending {
+            input: vec![0.0],
+            span: SpanRecord::new(Instant::now()),
+            deadline: None,
+            slot: Arc::clone(slot),
+        };
+        let (mut batch, mut live) = (Vec::new(), Vec::new());
+
+        let (late, slot) = ticket();
+        batch.push(pending(&slot));
+        filter_live(&mut batch, &mut live, &telemetry);
+        assert_eq!(live.len(), 1, "admitted before the cancel");
+        late.cancel();
+        let executed = live.pop().expect("one live request");
+        let outcome = wait_bounded(late, || executed.slot.fill(Ok(response(2.0))));
+        assert_eq!(outcome, Ok(response(2.0)), "execution won the race");
+
+        let (early, slot) = ticket();
+        early.cancel();
+        batch.push(pending(&slot));
+        filter_live(&mut batch, &mut live, &telemetry);
+        assert!(live.is_empty(), "a cancelled request is not executed");
+        assert!(early.is_done());
+        assert_eq!(early.wait(), Err(ServeError::Cancelled));
+        assert_eq!(telemetry.cancelled.load(Ordering::Relaxed), 1);
     }
 }
